@@ -1,10 +1,10 @@
 """BENCH — prefix-trie query planner versus the batched engines.
 
 The acceptance benchmark for :mod:`repro.kernels.trie`: the same
-compiled automaton answers the same batches twice, once with the
-planner disabled (the plain batched engines — vector lanes when numpy
-is present) and once enabled, interleaved in one process so CPU-clock
-drift cancels.  Two workloads:
+compiled automaton answers the same batches twice, once on the plain
+batched engines (vector lanes when numpy is present) and once through
+the planner — each called directly — interleaved in one process so
+CPU-clock drift cancels.  Two workloads:
 
 * **E2-shaped stream** — the position-measurement family the paper's
   E2 experiment issues: every query replays the same thrash +
@@ -12,16 +12,16 @@ drift cancels.  Two workloads:
   fresh-block eviction tail and probes one block.  Concatenated, the
   batch is a shallow, very wide radix trie (measured sharing ratio
   ~40x), and the headline >= 3x acceptance gate lives here for both
-  ``count_misses_batch`` and ``sequence_hits_batch``.  The stream is
+  miss counts and per-access outcomes.  The stream is
   deterministically shuffled: arrival order is whatever the inference
   loop produced, so the batched engines' consecutive-identical-setup
   reuse cannot see the redundancy — the planner's sort can.
 * **end-to-end inference** — a full ``PermutationInference.infer`` run
-  against ``SimulatedSetOracle`` with the planner on versus off must
-  produce *bit-identical* ``InferenceResult``s (the planner changes
-  cost, never answers); engagement is asserted through
-  ``kernel.trie.plans`` and the run must record zero
-  ``kernel.trie.fallbacks``.
+  against ``SimulatedSetOracle`` on the kernel (planner engaged) versus
+  the interpreter (``kernel_disabled()``) must produce *bit-identical*
+  ``InferenceResult``s (the planner changes cost, never answers);
+  engagement is asserted through ``kernel.trie.plans`` and the run must
+  record zero ``kernel.trie.fallbacks``.
 
 Results are bit-compared before any timing claim, land in
 ``benchmarks/results/bench_trie.txt``, and the acceptance run writes
@@ -47,9 +47,10 @@ from repro.core import InferenceConfig, PermutationInference, SimulatedSetOracle
 from repro.kernels import (
     clear_compile_cache,
     compile_policy,
-    count_misses_batch,
-    sequence_hits_batch,
-    trie_disabled,
+    engine,
+    kernel_disabled,
+    trie,
+    vector,
 )
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -111,12 +112,37 @@ def _best(fn, repeats):
     return result, elapsed
 
 
-def _ab(fn, repeats=3):
+def _batched(compiled, queries, want_outcomes):
+    """The plain batched engines: vector lanes when numpy is present."""
+    if want_outcomes:
+        result = vector.batch_outcomes(compiled, queries)
+    else:
+        result = vector.batch_miss_counts(compiled, queries)
+    if result is None:
+        result = engine._run_batch(compiled, queries)
+        if not want_outcomes:
+            return [len(hits) - sum(hits) for hits in result[0]]
+    return [tuple(hits) for hits in result[0]] if want_outcomes else result[0]
+
+
+def _planned(compiled, queries, want_outcomes):
+    plan = trie.plan_outcomes if want_outcomes else trie.plan_miss_counts
+    planned = plan(compiled, queries)
+    assert planned is not None, "the planner declined the E2 stream"
+    return [tuple(hits) for hits in planned[0]] if want_outcomes else planned[0]
+
+
+def _ab(compiled, queries, want_outcomes, repeats=3):
     """Interleaved batched/planned best-of-N; asserts identical results."""
-    fn()  # warm: automaton expansion, vector tables
-    with trie_disabled():
-        batched_result, batched_seconds = _best(fn, repeats)
-    planned_result, planned_seconds = _best(fn, repeats)
+    def batched():
+        return _batched(compiled, queries, want_outcomes)
+
+    def planned():
+        return _planned(compiled, queries, want_outcomes)
+
+    batched()  # warm: automaton expansion, vector tables
+    batched_result, batched_seconds = _best(batched, repeats)
+    planned_result, planned_seconds = _best(planned, repeats)
     assert planned_result == batched_result, "planner result diverged from batched"
     speedup = batched_seconds / planned_seconds if planned_seconds else 0.0
     return batched_seconds, planned_seconds, speedup
@@ -132,12 +158,8 @@ def test_bench_trie_speedup(save_result):
     queries = _e2_stream()
     total_accesses = sum(len(setup) + len(probe) for setup, probe in queries)
 
-    count_batched, count_planned, count_speedup = _ab(
-        lambda: count_misses_batch(compiled, queries)
-    )
-    seq_batched, seq_planned, seq_speedup = _ab(
-        lambda: sequence_hits_batch(compiled, queries)
-    )
+    count_batched, count_planned, count_speedup = _ab(compiled, queries, False)
+    seq_batched, seq_planned, seq_speedup = _ab(compiled, queries, True)
 
     # End-to-end: the planner must be invisible in the answers.
     def infer():
@@ -146,7 +168,7 @@ def test_bench_trie_speedup(save_result):
         return PermutationInference(oracle, config=config).infer()
 
     infer()  # warm
-    with trie_disabled():
+    with kernel_disabled():
         (result_off, infer_off) = _best(infer, 2)
     (result_on, infer_on) = _best(infer, 2)
     assert result_on == result_off, "InferenceResult diverged under the planner"
@@ -164,8 +186,8 @@ def test_bench_trie_speedup(save_result):
          f"{count_speedup:.2f}x"],
         ["stream/sequence_hits", f"{seq_batched:.3f}", f"{seq_planned:.3f}",
          f"{seq_speedup:.2f}x"],
-        ["inference/infer", f"{infer_off:.3f}", f"{infer_on:.3f}",
-         f"{(infer_off / infer_on) if infer_on else 0.0:.2f}x"],
+        ["inference/infer (interpreter | kernel)", f"{infer_off:.3f}",
+         f"{infer_on:.3f}", f"{(infer_off / infer_on) if infer_on else 0.0:.2f}x"],
     ]
     table = format_table(
         ["workload", "batched s", "planned s", "speedup"],
@@ -194,8 +216,8 @@ def test_bench_trie_speedup(save_result):
             },
         },
         "inference": {
-            "batched_seconds": infer_off,
-            "planned_seconds": infer_on,
+            "interpreter_seconds": infer_off,
+            "kernel_seconds": infer_on,
             "identical_result": True,
         },
         "counters": {
@@ -210,7 +232,6 @@ def test_bench_trie_speedup(save_result):
         "thrash_factor": THRASH_FACTOR,
         "rounds": ROUNDS,
         "policy": "plru",
-        "trie": True,
         "seed": 0,
     }
     save_result("bench_trie", table, data=data, params=params)
@@ -228,10 +249,10 @@ def test_bench_trie_speedup(save_result):
     assert plans >= 1, "the planner never engaged on the E2 stream"
     assert fallbacks == 0, f"{fallbacks} batches fell back to the batched engines"
     assert count_speedup >= 3.0, (
-        f"planned count_misses_batch only {count_speedup:.2f}x over the "
+        f"planned miss counts only {count_speedup:.2f}x over the "
         f"batched engine, below the 3x acceptance bar"
     )
     assert seq_speedup >= 3.0, (
-        f"planned sequence_hits_batch only {seq_speedup:.2f}x over the "
+        f"planned outcomes only {seq_speedup:.2f}x over the "
         f"batched engine, below the 3x acceptance bar"
     )

@@ -1,19 +1,19 @@
 """BENCH — vector engine versus the scalar compiled kernel.
 
 The acceptance benchmark for :mod:`repro.kernels.vector`: the same
-compiled automata execute the same work twice, once with the vector
-engine disabled (the scalar kernel) and once enabled, interleaved in
-one process so CPU-clock drift cancels.  Three workloads:
+compiled automata execute the same work twice, once on the scalar
+kernel engine and once on the vector engine — each called directly —
+interleaved in one process so CPU-clock drift cancels.  Three workloads:
 
 * **trace** — E3-scale whole-cache simulation (2048 sets, 1M accesses)
   where all sets advance lock-step; the headline ≥ 3x acceptance gate
   (measured ~5-10x) lives here;
-* **batch** — an oracle-style ``count_misses_batch`` of thousands of
-  ``(setup, probe)`` queries; the vector path sums hit columns in numpy
-  and never materializes per-access outcomes;
-* **sequence batch** — ``sequence_hits_batch``, which *does* pay to
-  materialize every outcome as Python bools and so bounds the batch
-  speedup from below.
+* **batch** — oracle-style miss counts of thousands of ``(setup,
+  probe)`` queries; the vector path sums hit columns in numpy and never
+  materializes per-access outcomes;
+* **sequence batch** — per-access outcomes of the same queries, which
+  *does* pay to materialize every outcome as Python bools and so bounds
+  the batch speedup from below.
 
 Results are bit-compared cell for cell before any timing claim, land in
 ``benchmarks/results/bench_vector.txt``, and the acceptance run writes
@@ -38,11 +38,9 @@ from repro.cache import CacheConfig
 from repro.kernels import (
     clear_compile_cache,
     compile_policy,
-    count_misses_batch,
-    sequence_hits_batch,
-    try_simulate_trace,
+    compiled_for_factory,
+    engine,
     vector,
-    vector_disabled,
 )
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -106,12 +104,11 @@ def _best(fn, repeats):
     return result, elapsed
 
 
-def _ab(fn, repeats=3):
+def _ab(scalar_fn, vector_fn, repeats=3):
     """Interleaved scalar/vector best-of-N; asserts identical results."""
-    fn()  # warm: automaton expansion, vector tables, trace layout
-    with vector_disabled():
-        scalar_result, scalar_seconds = _best(fn, repeats)
-    vector_result, vector_seconds = _best(fn, repeats)
+    vector_fn()  # warm: automaton expansion, vector tables, trace layout
+    scalar_result, scalar_seconds = _best(scalar_fn, repeats)
+    vector_result, vector_seconds = _best(vector_fn, repeats)
     assert scalar_result == vector_result, "vector result diverged from scalar"
     speedup = scalar_seconds / vector_seconds if vector_seconds else 0.0
     return scalar_seconds, vector_seconds, speedup
@@ -123,8 +120,10 @@ def _trace_rows(config, accesses, policies, seed):
     )
     rows = {}
     for policy in policies:
+        compiled = compiled_for_factory(policy, (), config.ways)
         scalar_seconds, vector_seconds, speedup = _ab(
-            lambda: try_simulate_trace(trace, config, policy)
+            lambda: engine._simulate_trace_scalar(trace, config, compiled),
+            lambda: vector.simulate_trace_lockstep(trace, config, compiled),
         )
         rows[policy] = {
             "scalar_seconds": scalar_seconds,
@@ -143,11 +142,16 @@ def test_bench_vector_speedup(save_result):
 
     compiled = compile_policy(make_policy("plru", 8))
     queries = _batch_queries()
+    def scalar_outcomes():
+        return [tuple(hits) for hits in engine._run_batch(compiled, queries)[0]]
+
     count_scalar, count_vector, count_speedup = _ab(
-        lambda: count_misses_batch(compiled, queries)
+        lambda: [len(hits) - sum(hits) for hits in scalar_outcomes()],
+        lambda: vector.batch_miss_counts(compiled, queries)[0],
     )
     seq_scalar, seq_vector, seq_speedup = _ab(
-        lambda: sequence_hits_batch(compiled, queries)
+        scalar_outcomes,
+        lambda: vector.batch_outcomes(compiled, queries)[0],
     )
 
     rows = [
@@ -218,7 +222,7 @@ def test_bench_vector_speedup(save_result):
     # their ceiling is lower; this floor guards "vector actually engaged
     # and won", the 3x bar is the trace's.
     assert count_speedup >= 1.3, (
-        f"vector count_misses_batch only {count_speedup:.2f}x over scalar"
+        f"vector batch miss counts only {count_speedup:.2f}x over scalar"
     )
 
 

@@ -132,7 +132,9 @@ def save_result(request):
             jobs=int(jobs) if isinstance(jobs, (int, float, str)) and str(jobs).isdigit() else None,
             kernel=kernel_enabled(),
             counters=snapshot.get("counters", {}),
-            artifacts=[p for p in (path, sidecar, trace_path) if p is not None],
+            # The table (<name>.txt) is gitignored, so a committed ledger
+            # must not record it: --verify would report it missing.
+            artifacts=[p for p in (sidecar, trace_path) if p is not None],
         )
         ledger_path = obs_ledger.write_ledger(
             ledger, obs_ledger.ledger_path_for(sidecar)

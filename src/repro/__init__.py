@@ -26,49 +26,59 @@ Package map:
 * :mod:`repro.obs` — tracing, metrics and the ExperimentResult protocol.
 """
 
-from repro.cache import Cache, CacheConfig, CacheHierarchy
-from repro.core import (
-    CandidateIdentification,
-    InferenceConfig,
-    PermutationInference,
-    SimulatedSetOracle,
-    VotingOracle,
-    derive_spec_from_policy,
-    equivalent,
-    name_spec,
-    reverse_engineer,
-)
-from repro.errors import (
-    ConfigurationError,
-    InferenceError,
-    MeasurementError,
-    ReproError,
-    SimulationError,
-    TraceFormatError,
-    UnknownPolicyError,
-)
-from repro.hardware import (
-    PROCESSORS,
-    HardwarePlatform,
-    HardwareSetOracle,
-    NoiseModel,
-    get_processor,
-)
-from repro.errors import ResultSchemaError
-from repro.obs import ExperimentResult, Metrics, Tracer, tracing, validate_result
-from repro.policies import (
-    PermutationPolicy,
-    PermutationSpec,
-    PolicyFactory,
-    available,
-    available_policies,
-    default_policies,
-    get,
-    make_policy,
-    register,
-)
-from repro.runner import ExperimentRunner, SimCell, run_sim_cells
-from repro.workloads import APP_MODELS, Trace, workload_suite
+import importlib
+
+#: Public name -> the module that defines it.  Loaded on first access
+#: (PEP 562), so ``import repro`` stays cheap and running a submodule
+#: as a script (``python -m repro.obs.ledger``) does not find it
+#: already imported.
+_EXPORTS = {
+    "Cache": "repro.cache",
+    "CacheConfig": "repro.cache",
+    "CacheHierarchy": "repro.cache",
+    "CandidateIdentification": "repro.core",
+    "InferenceConfig": "repro.core",
+    "PermutationInference": "repro.core",
+    "SimulatedSetOracle": "repro.core",
+    "VotingOracle": "repro.core",
+    "derive_spec_from_policy": "repro.core",
+    "equivalent": "repro.core",
+    "name_spec": "repro.core",
+    "reverse_engineer": "repro.core",
+    "ConfigurationError": "repro.errors",
+    "InferenceError": "repro.errors",
+    "MeasurementError": "repro.errors",
+    "ReproError": "repro.errors",
+    "SimulationError": "repro.errors",
+    "TraceFormatError": "repro.errors",
+    "UnknownPolicyError": "repro.errors",
+    "ResultSchemaError": "repro.errors",
+    "PROCESSORS": "repro.hardware",
+    "HardwarePlatform": "repro.hardware",
+    "HardwareSetOracle": "repro.hardware",
+    "NoiseModel": "repro.hardware",
+    "get_processor": "repro.hardware",
+    "ExperimentResult": "repro.obs",
+    "Metrics": "repro.obs",
+    "Tracer": "repro.obs",
+    "tracing": "repro.obs",
+    "validate_result": "repro.obs",
+    "PermutationPolicy": "repro.policies",
+    "PermutationSpec": "repro.policies",
+    "PolicyFactory": "repro.policies",
+    "available": "repro.policies",
+    "available_policies": "repro.policies",
+    "default_policies": "repro.policies",
+    "get": "repro.policies",
+    "make_policy": "repro.policies",
+    "register": "repro.policies",
+    "ExperimentRunner": "repro.runner",
+    "SimCell": "repro.runner",
+    "run_sim_cells": "repro.runner",
+    "APP_MODELS": "repro.workloads",
+    "Trace": "repro.workloads",
+    "workload_suite": "repro.workloads",
+}
 
 __version__ = "1.0.0"
 
@@ -120,3 +130,16 @@ __all__ = [
     "ResultSchemaError",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

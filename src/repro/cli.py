@@ -49,14 +49,7 @@ from repro.hardware import (
     NoiseModel,
     get_processor,
 )
-from repro.kernels import (
-    kernel_enabled,
-    set_kernel_enabled,
-    set_trie_enabled,
-    set_vector_enabled,
-    trie_enabled,
-    vector_enabled,
-)
+from repro.kernels import kernel_enabled, set_kernel_enabled
 from repro.obs import (
     DEFAULT,
     ExperimentResult,
@@ -321,15 +314,6 @@ def _add_kernel_options(command: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--no-kernel", dest="kernel", action="store_false",
         help="force the interpreted simulator (reference path)",
-    )
-    command.add_argument(
-        "--no-vector", dest="vector", action="store_false", default=True,
-        help="keep the scalar kernel engines even when numpy is available",
-    )
-    command.add_argument(
-        "--no-trie", dest="trie", action="store_false", default=True,
-        help="disable the prefix-trie batch query planner "
-        "(keep the plain batched engines)",
     )
 
 
@@ -823,13 +807,23 @@ _SIDECAR_PARAM_TYPES = (str, int, float, bool, type(None))
 
 
 def _sidecar_params(args: argparse.Namespace) -> dict:
-    """The scalar subcommand arguments, for sidecar/ledger params blocks."""
-    return {
+    """The scalar subcommand arguments, for sidecar/ledger params blocks.
+
+    Simulation subcommands also record ``vector`` — whether numpy (and
+    with it the vector engine) was importable — the run-history
+    baseline key's vector component.
+    """
+    params = {
         key: value
         for key, value in sorted(vars(args).items())
         if key not in ("command", "trace_file", "metrics_file")
         and isinstance(value, _SIDECAR_PARAM_TYPES)
     }
+    if "kernel" in params:
+        from repro.kernels import numpy_available
+
+        params["vector"] = numpy_available()
+    return params
 
 
 def _run_with_observability(args: argparse.Namespace) -> int:
@@ -853,10 +847,6 @@ def _run_with_observability(args: argparse.Namespace) -> int:
     command = _COMMANDS[args.command]
     kernel_before = kernel_enabled()
     set_kernel_enabled(getattr(args, "kernel", kernel_before))
-    vector_before = vector_enabled()
-    set_vector_enabled(getattr(args, "vector", vector_before))
-    trie_before = trie_enabled()
-    set_trie_enabled(getattr(args, "trie", trie_before))
     cache_dir = getattr(args, "cache_dir", None)
     cache_dir_before = None
     if cache_dir is not None:
@@ -926,8 +916,6 @@ def _run_with_observability(args: argparse.Namespace) -> int:
 
             runner_core.remove_map_hook(maps.append)
         set_kernel_enabled(kernel_before)
-        set_vector_enabled(vector_before)
-        set_trie_enabled(trie_before)
         if cache_dir is not None:
             from repro import measuredb
             from repro.kernels import store

@@ -21,8 +21,6 @@ from collections import deque
 from collections.abc import Callable, Sequence
 
 from repro.cache.set import CacheSet
-from repro.errors import KernelUnsupported
-from repro.obs import trace as obs_trace
 from repro.policies import ReplacementPolicy
 from repro import kernels
 
@@ -38,30 +36,21 @@ def established_set(policy: ReplacementPolicy, thrash_factor: int = 2) -> CacheS
     clone = policy.clone()
     clone.reset()
     cache_set = CacheSet(clone.ways, clone)
-    for i in range(thrash_factor * clone.ways):
-        cache_set.access(10_000 + i)
-    for block in range(clone.ways):
+    for block in _establishment(clone, thrash_factor):
         cache_set.access(block)
     return cache_set
 
 
+def _establishment(policy: ReplacementPolicy, thrash_factor: int) -> list[int]:
+    """The setup that reaches :func:`established_set`'s state from reset."""
+    return [10_000 + i for i in range(thrash_factor * policy.ways)] + list(
+        range(policy.ways)
+    )
+
+
 def response(policy: ReplacementPolicy, probe: Sequence[int], thrash_factor: int = 2) -> tuple[bool, ...]:
     """Hit/miss outcome of each probe access from the established state."""
-    # Compiled fast path (deterministic policies, kernel on, no tracer
-    # wanting cache.* events): identification replays thousands of
-    # candidate responses, and the established state is just thrash +
-    # establishment from reset.
-    if kernels.kernel_allowed():
-        compiled = kernels.compiled_for(policy)
-        if compiled is not None:
-            setup = [10_000 + i for i in range(thrash_factor * policy.ways)]
-            setup += list(range(policy.ways))
-            try:
-                return kernels.sequence_hits(compiled, setup, probe)
-            except KernelUnsupported:
-                kernels.mark_unsupported(policy)
-    cache_set = established_set(policy, thrash_factor)
-    return tuple(cache_set.access(block).hit for block in probe)
+    return _responses_simulated(policy, [probe], thrash_factor)[0]
 
 
 _measuredb = None
@@ -92,10 +81,11 @@ def responses(
 ) -> list[tuple[bool, ...]]:
     """Outcome of each probe in ``probes`` from the established state.
 
-    The batched form of :func:`response`: on the compiled fast path the
-    whole list runs through one automaton in a single engine call, with
-    the shared establishment setup replayed from a snapshot instead of
-    re-simulated per probe.  Bit-identical to mapping :func:`response`.
+    The batched form of :func:`response`: one
+    :func:`repro.kernels.sequence_hits_batch` call, which on the compiled
+    path replays the shared establishment setup from a snapshot instead
+    of re-simulating it per probe.  Bit-identical to mapping
+    :func:`response`.
 
     With the measurement DB's hit-vector cache opted in
     (:func:`repro.measuredb.set_hits_cache_enabled`) and a provenanced
@@ -123,19 +113,9 @@ def _responses_simulated(
     probes: Sequence[Sequence[int]],
     thrash_factor: int = 2,
 ) -> list[tuple[bool, ...]]:
-    """Simulate every probe's response (kernel batch when allowed)."""
-    if kernels.kernel_allowed():
-        compiled = kernels.compiled_for(policy)
-        if compiled is not None:
-            setup = [10_000 + i for i in range(thrash_factor * policy.ways)]
-            setup += list(range(policy.ways))
-            try:
-                return kernels.sequence_hits_batch(
-                    compiled, [(setup, probe) for probe in probes]
-                )
-            except KernelUnsupported:
-                kernels.mark_unsupported(policy)
-    return [response(policy, probe, thrash_factor) for probe in probes]
+    """Simulate every probe's response from the established state."""
+    setup = _establishment(policy, thrash_factor)
+    return kernels.sequence_hits_batch(policy, [(setup, probe) for probe in probes])
 
 
 def miss_count(policy: ReplacementPolicy, probe: Sequence[int], thrash_factor: int = 2) -> int:

@@ -35,12 +35,11 @@ from dataclasses import dataclass, field
 
 from repro.core.oracle import MissCountOracle
 from repro.core.permutation import standard_miss_perm
-from repro.errors import InferenceError, KernelUnsupported
+from repro.errors import InferenceError
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.result import ExperimentResult
 from repro.policies import PermutationPolicy, PermutationSpec
-from repro.cache.set import CacheSet
 from repro import kernels
 
 
@@ -384,7 +383,7 @@ class PermutationInference:
         # One simulation pass per sequence predicts every window at
         # once: the prediction for window [start, end) is the difference
         # of cumulative miss counts, identical (by determinism) to a
-        # pair of fresh _predict() runs per window but costing
+        # pair of fresh per-window predictions but costing
         # O(len(probe)) instead of O(len(probe)^2 / window) work.
         cumulatives = self._predict_cumulative_batch(
             ways, spec, establishment, probes
@@ -414,90 +413,25 @@ class PermutationInference:
         return True
 
     @staticmethod
-    def _predict(
-        ways: int, spec: PermutationSpec, establishment: list[int], probe: list[int]
-    ) -> int:
-        """Simulate the spec from the established state; count probe misses."""
-        # The established state: way p holds establishment[A-1-p] at position p.
-        preload = [establishment[ways - 1 - p] for p in range(ways)]
-        if kernels.kernel_allowed():
-            compiled = kernels.compiled_for_spec(spec)
-            if compiled is not None:
-                try:
-                    return kernels.count_misses_preloaded(compiled, preload, probe)
-                except KernelUnsupported:
-                    kernels.mark_spec_unsupported(spec)
-        cache_set = CacheSet(ways, PermutationPolicy(ways, spec))
-        cache_set.preload(preload)
-        misses = 0
-        for block in probe:
-            if not cache_set.access(block).hit:
-                misses += 1
-        return misses
-
-    @staticmethod
-    def _predict_cumulative(
-        ways: int, spec: PermutationSpec, establishment: list[int], probe: list[int]
-    ) -> list[int]:
-        """Cumulative predicted misses: ``result[i]`` covers ``probe[:i]``.
-
-        One pass over the probe (kernel
-        :func:`~repro.kernels.sequence_hits_preloaded` when allowed,
-        interpreted otherwise) replaces a pair of :meth:`_predict` runs
-        per verification window.
-        """
-        preload = [establishment[ways - 1 - p] for p in range(ways)]
-        flags: tuple[bool, ...] | None = None
-        if kernels.kernel_allowed():
-            compiled = kernels.compiled_for_spec(spec)
-            if compiled is not None:
-                try:
-                    flags = kernels.sequence_hits_preloaded(compiled, preload, probe)
-                except KernelUnsupported:
-                    kernels.mark_spec_unsupported(spec)
-        if flags is None:
-            cache_set = CacheSet(ways, PermutationPolicy(ways, spec))
-            cache_set.preload(preload)
-            flags = tuple(cache_set.access(block).hit for block in probe)
-        cumulative = [0]
-        misses = 0
-        for hit in flags:
-            if not hit:
-                misses += 1
-            cumulative.append(misses)
-        return cumulative
-
-    @classmethod
     def _predict_cumulative_batch(
-        cls,
         ways: int,
         spec: PermutationSpec,
         establishment: list[int],
         probes: list[list[int]],
     ) -> list[list[int]]:
-        """Cumulative predicted misses for many probes from one state.
+        """Cumulative predicted misses: ``result[q][i]`` covers ``probes[q][:i]``.
 
-        Every probe starts from the same established state, so the batch
-        maps onto :func:`~repro.kernels.sequence_hits_preloaded_batch`
-        (one vector-engine call when numpy is available).  Per-probe
-        results are bit-identical to :meth:`_predict_cumulative`.
+        Every probe starts from the same established state (way ``p``
+        holds ``establishment[A-1-p]`` at position ``p``), so the batch is
+        one :func:`repro.kernels.sequence_hits_batch` call with that
+        state as its start image.
         """
         preload = [establishment[ways - 1 - p] for p in range(ways)]
-        flags_list: list[tuple[bool, ...]] | None = None
-        if len(probes) > 1 and kernels.kernel_allowed():
-            compiled = kernels.compiled_for_spec(spec)
-            if compiled is not None:
-                try:
-                    flags_list = kernels.sequence_hits_preloaded_batch(
-                        compiled, preload, probes
-                    )
-                except KernelUnsupported:
-                    kernels.mark_spec_unsupported(spec)
-        if flags_list is None:
-            return [
-                cls._predict_cumulative(ways, spec, establishment, probe)
-                for probe in probes
-            ]
+        flags_list = kernels.sequence_hits_batch(
+            PermutationPolicy(ways, spec),
+            [((), probe) for probe in probes],
+            preload=preload,
+        )
         cumulatives = []
         for flags in flags_list:
             cumulative = [0]

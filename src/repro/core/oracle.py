@@ -24,9 +24,7 @@ and are thereby refused persistence.
 :class:`MissCountOracle` keeps the scalar ``count_misses`` as the
 measurement *primitive* for adaptive algorithms (inference decides each
 request from the previous answer); its default ``query`` loops over it,
-and subclasses override ``query`` with real batch paths.  The legacy
-``count_misses_many`` shape survives as a thin deprecated wrapper over
-``query``.
+and subclasses override ``query`` with real batch paths.
 
 Implementations:
 
@@ -43,26 +41,23 @@ Implementations:
   measurements against a deterministic inner oracle (per-process; the
   cross-process sibling is :class:`repro.measuredb.MeasurementDBOracle`).
 
-Simulated measurements additionally route through the compiled kernel
-(:mod:`repro.kernels`) when it is enabled and no active tracer wants
-per-access ``cache.*`` events; the interpreted loop stays the
-instrumented reference path, and ``oracle.query`` events/metrics are
-identical on both paths.
+Simulated measurements go through :func:`repro.kernels.count_misses_batch`,
+which picks the compiled kernel or the instrumented interpreter (see
+:mod:`repro.kernels` for the routing rules); ``oracle.query``
+events/metrics are identical on both paths.
 """
 
 from __future__ import annotations
 
 import hashlib
-import warnings
 from abc import ABC, abstractmethod
 from collections import Counter
 from collections.abc import Sequence
 
-from repro.errors import KernelUnsupported, MeasurementError
+from repro.errors import MeasurementError
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.policies import PermutationPolicy, ReplacementPolicy
-from repro.cache.set import CacheSet
 from repro import kernels
 
 
@@ -100,8 +95,8 @@ class OracleProtocol(ABC):
     """The unified oracle surface: batched queries plus provenance.
 
     ``query`` is the canonical call shape every oracle implements; the
-    scalar/legacy shapes (``count_misses``, ``count_misses_many``) are
-    wrappers layered on top by :class:`MissCountOracle`.  Results are
+    scalar ``count_misses`` shape is layered alongside it by
+    :class:`MissCountOracle`.  Results are
     returned in request order and are bit-identical to issuing the
     requests one at a time — batching is an execution strategy, never a
     semantic change.
@@ -142,21 +137,6 @@ class MissCountOracle(OracleProtocol):
         self, requests: Sequence[tuple[Sequence[int], Sequence[int]]]
     ) -> list[int]:
         return [self.count_misses(setup, probe) for setup, probe in requests]
-
-    def count_misses_many(
-        self, queries: Sequence[tuple[Sequence[int], Sequence[int]]]
-    ) -> list[int]:
-        """Deprecated alias for :meth:`query` (the pre-protocol batch shape).
-
-        Kept as a thin warning wrapper for external call sites; all
-        internal callers use ``query`` directly.
-        """
-        warnings.warn(
-            "count_misses_many() is deprecated; use OracleProtocol.query()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.query(queries)
 
     #: Number of measurements performed (for the cost evaluation).
     measurements: int = 0
@@ -210,28 +190,7 @@ class SimulatedSetOracle(MissCountOracle):
         return f"sim|{identity}" if identity is not None else None
 
     def count_misses(self, setup: Sequence[int], probe: Sequence[int]) -> int:
-        # Compiled fast path: same measurement as the interpreted loop
-        # below (bit-identical by the kernel's equivalence suite), taken
-        # whenever the kernel is on and no tracer wants per-access events.
-        if kernels.kernel_allowed():
-            compiled = kernels.compiled_for(self._prototype)
-            if compiled is not None:
-                try:
-                    misses = kernels.count_misses_kernel(compiled, setup, probe)
-                except KernelUnsupported:
-                    kernels.mark_unsupported(self._prototype)
-                else:
-                    self._note_measurement(len(setup), len(probe), misses)
-                    return misses
-        policy = self._prototype.clone()
-        policy.reset()
-        cache_set = CacheSet(policy.ways, policy)
-        for block in setup:
-            cache_set.access(block)
-        misses = 0
-        for block in probe:
-            if not cache_set.access(block).hit:
-                misses += 1
+        (misses,) = kernels.count_misses_batch(self._prototype, [(setup, probe)])
         self._note_measurement(len(setup), len(probe), misses)
         return misses
 
@@ -240,43 +199,20 @@ class SimulatedSetOracle(MissCountOracle):
     ) -> list[int]:
         """Answer many ``(setup, probe)`` measurements in order.
 
-        On the compiled fast path the batch is first deduplicated —
-        identical requests (by :meth:`CachingOracle.memo_key`) are
-        measured once and fanned back out, since a deterministic set
-        answers them identically — and the unique requests run through
-        one automaton in a single engine call
-        (:func:`repro.kernels.count_misses_batch`, where the trie
-        planner additionally collapses shared prefixes).  Measurement
-        results and per-measurement cost accounting (``measurements``,
-        ``accesses``, ``oracle.*`` metrics and events) are bit-identical
-        to looping over :meth:`count_misses` — every *logical*
-        measurement is accounted, duplicates included; only the executed
-        ``kernel.*`` work shrinks.
+        The whole batch is one :func:`repro.kernels.count_misses_batch`
+        call, where a compiled set measures identical requests once and
+        the trie planner additionally collapses shared prefixes.
+        Measurement results and per-measurement cost accounting
+        (``measurements``, ``accesses``, ``oracle.*`` metrics and events)
+        are bit-identical to looping over :meth:`count_misses` — every
+        *logical* measurement is accounted, duplicates included; only
+        the executed ``kernel.*`` work shrinks.
         """
         requests = list(requests)
-        if len(requests) > 1 and kernels.kernel_allowed():
-            compiled = kernels.compiled_for(self._prototype)
-            if compiled is not None:
-                keys = [
-                    CachingOracle.memo_key(setup, probe)
-                    for setup, probe in requests
-                ]
-                position: dict[tuple, int] = {}
-                unique: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-                for key in keys:
-                    if key not in position:
-                        position[key] = len(unique)
-                        unique.append(key)
-                try:
-                    measured = kernels.count_misses_batch(compiled, unique)
-                except KernelUnsupported:
-                    kernels.mark_unsupported(self._prototype)
-                else:
-                    counts = [measured[position[key]] for key in keys]
-                    for (setup, probe), misses in zip(requests, counts):
-                        self._note_measurement(len(setup), len(probe), misses)
-                    return counts
-        return [self.count_misses(setup, probe) for setup, probe in requests]
+        counts = kernels.count_misses_batch(self._prototype, requests)
+        for (setup, probe), misses in zip(requests, counts):
+            self._note_measurement(len(setup), len(probe), misses)
+        return counts
 
 
 class VotingOracle(MissCountOracle):

@@ -555,9 +555,15 @@ def compiled_for_spec(spec: PermutationSpec) -> CompiledPolicy | None:
 
 
 def mark_unsupported(policy: ReplacementPolicy) -> None:
-    """Record that a policy blew the budget mid-run; stop retrying it."""
+    """Record that a policy blew the budget mid-run; stop retrying it.
+
+    A :class:`PermutationPolicy` tombstones its spec too, so fresh
+    instances of the same spec go straight to the interpreter.
+    """
     _INSTANCE_CACHE.pop(policy, None)
     _INSTANCE_UNSUPPORTED.add(policy)
+    if isinstance(policy, PermutationPolicy):
+        mark_spec_unsupported(policy.spec)
 
 
 def mark_factory_unsupported(name: str, params: tuple, ways: int) -> None:

@@ -3,12 +3,13 @@
 Two granularities, matching the two shapes of simulation in the library:
 
 * **single set, block ids** — the oracle/inference substrate.
-  :func:`count_misses_kernel`, :func:`count_misses_preloaded`,
-  :func:`sequence_hits` and :func:`simulate_sequence` replay block-id
-  sequences against one compiled set, reproducing exactly what
-  :class:`~repro.cache.set.CacheSet` driven through ``access()`` would
-  do (cold fills go to ascending ways, full-set misses evict the
-  policy's victim).
+  :func:`batch_miss_counts` and :func:`batch_outcomes` replay batches
+  of block-id ``(setup, probe)`` queries against one compiled set,
+  reproducing exactly what :class:`~repro.cache.set.CacheSet` driven
+  through ``access()`` would do (cold fills go to ascending ways,
+  full-set misses evict the policy's victim).  The public, routed
+  entry points are :func:`repro.kernels.count_misses_batch` and
+  :func:`repro.kernels.sequence_hits_batch`.
 
 * **whole cache, address traces** — the evaluation substrate.
   :func:`simulate_trace_kernel` runs a trace against ``num_sets``
@@ -42,7 +43,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.cache.config import CacheConfig
-from repro.cache.set import SetAccessResult
 from repro.cache.stats import CacheStats
 from repro.errors import KernelUnsupported
 from repro.kernels import automaton, trie, vector
@@ -54,14 +54,8 @@ from repro.util.rng import SeededRng
 from repro.workloads.trace import Trace
 
 __all__ = [
-    "count_misses_batch",
-    "count_misses_kernel",
-    "count_misses_preloaded",
-    "sequence_hits",
-    "sequence_hits_batch",
-    "sequence_hits_preloaded",
-    "sequence_hits_preloaded_batch",
-    "simulate_sequence",
+    "batch_miss_counts",
+    "batch_outcomes",
     "simulate_trace_direct",
     "simulate_trace_kernel",
     "try_simulate_trace",
@@ -77,10 +71,9 @@ def _note_kernel_call(
 
     The compiled engines have no per-access instrumentation sites, so
     this per-call flush is what keeps a metrics-only observer informed
-    without giving up the fast path.  ``mode`` is ``"set"`` (single-set
-    block runs), ``"batch"`` (many single-set queries in one call),
-    ``"trace"`` (compiled whole-cache) or ``"direct"`` (real-policy
-    whole-cache).
+    without giving up the fast path.  ``mode`` is ``"batch"`` (single-set
+    block queries, one or many per call), ``"trace"`` (compiled
+    whole-cache) or ``"direct"`` (real-policy whole-cache).
 
     Invariant (every mode, every call site): ``accesses = hits +
     misses``, counting *all* executed accesses — setup replays included.
@@ -153,136 +146,49 @@ def _run_blocks(
     return state, hit_count
 
 
-def count_misses_kernel(
-    compiled: CompiledPolicy, setup: Sequence[int], probe: Sequence[int]
-) -> int:
-    """Misses of ``probe`` after ``setup``, from a fresh empty set."""
-    way_of: dict[int, int] = {}
-    tag_of = [0] * compiled.ways
-    state, setup_hits = _run_blocks(compiled, setup, way_of, tag_of, 0)
-    hits: list[bool] = []
-    _run_blocks(compiled, probe, way_of, tag_of, state, hits)
-    probe_hits = sum(hits)
-    total = len(setup) + len(hits)
-    total_hits = setup_hits + probe_hits
-    _note_kernel_call("set", total, total_hits, total - total_hits)
-    return len(hits) - probe_hits
-
-
-def count_misses_preloaded(
-    compiled: CompiledPolicy, tags: Sequence[int], probe: Sequence[int]
-) -> int:
-    """Misses of ``probe`` from a preloaded full set in the reset state.
-
-    ``tags[w]`` is the block resident in way ``w`` — the kernel analogue
-    of :meth:`repro.cache.set.CacheSet.preload` on a fresh set.
-    """
-    if len(tags) != compiled.ways:
-        raise KernelUnsupported(
-            f"preload needs {compiled.ways} tags, got {len(tags)}"
-        )
-    way_of = {tag: way for way, tag in enumerate(tags)}
-    tag_of = list(tags)
-    hits: list[bool] = []
-    _run_blocks(compiled, probe, way_of, tag_of, 0, hits)
-    probe_hits = sum(hits)
-    _note_kernel_call("set", len(hits), probe_hits, len(hits) - probe_hits)
-    return len(hits) - probe_hits
-
-
-def sequence_hits_preloaded(
-    compiled: CompiledPolicy, tags: Sequence[int], probe: Sequence[int]
-) -> tuple[bool, ...]:
-    """Per-access hit/miss outcome of ``probe`` from a preloaded set.
-
-    The preloaded-set analogue of :func:`sequence_hits`, and the
-    substrate of inference's cumulative verification predictions: one
-    pass yields the outcome of every prefix of ``probe`` at once.
-    """
-    if len(tags) != compiled.ways:
-        raise KernelUnsupported(
-            f"preload needs {compiled.ways} tags, got {len(tags)}"
-        )
-    way_of = {tag: way for way, tag in enumerate(tags)}
-    tag_of = list(tags)
-    hits: list[bool] = []
-    _run_blocks(compiled, probe, way_of, tag_of, 0, hits)
-    probe_hits = sum(hits)
-    _note_kernel_call("set", len(hits), probe_hits, len(hits) - probe_hits)
-    return tuple(hits)
-
-
-def sequence_hits_preloaded_batch(
-    compiled: CompiledPolicy,
-    tags: Sequence[int],
-    probes: Sequence[Sequence[int]],
-) -> list[tuple[bool, ...]]:
-    """Per-access outcomes of many probes from one preloaded set.
-
-    Every probe starts from the same preloaded full set (``tags[w]``
-    resident in way ``w``) in the reset state — the shape of inference's
-    verification round, which predicts the outcome of many candidate
-    sequences against one conflict set.  Bit-identical to per-probe
-    :func:`sequence_hits_preloaded` calls; one metrics flush covers the
-    batch, and the vector engine takes it when numpy is available.
-    """
-    if len(tags) != compiled.ways:
-        raise KernelUnsupported(
-            f"preload needs {compiled.ways} tags, got {len(tags)}"
-        )
-    result = vector.preloaded_outcomes(compiled, tags, probes)
-    if result is not None:
-        outcomes, accesses, total_hits = result
-        _note_kernel_call("batch", accesses, total_hits, accesses - total_hits)
-        return [tuple(hits) for hits in outcomes]
-    out: list[tuple[bool, ...]] = []
-    accesses = 0
-    total_hits = 0
-    for probe in probes:
-        way_of = {tag: way for way, tag in enumerate(tags)}
-        tag_of = list(tags)
-        hits: list[bool] = []
-        _run_blocks(compiled, probe, way_of, tag_of, 0, hits)
-        accesses += len(hits)
-        total_hits += sum(hits)
-        out.append(tuple(hits))
-    _note_kernel_call("batch", accesses, total_hits, accesses - total_hits)
-    return out
-
-
 # -- batched single-set runs -------------------------------------------------
+
+Queries = Sequence[tuple[Sequence[int], Sequence[int]]]
+
 
 def _run_batch(
     compiled: CompiledPolicy,
-    queries: Sequence[tuple[Sequence[int], Sequence[int]]],
+    queries: Queries,
+    preload: Sequence[int] | None = None,
 ) -> tuple[list[list[bool]], int, int, int]:
     """Run many ``(setup, probe)`` queries through one automaton.
 
     Returns ``(outcomes, executed, executed_hits, reused)``: the
     per-query hit lists, the number of accesses actually executed, how
     many of those hit, and the number of setup accesses *skipped* via
-    snapshot reuse.  Each query is an independent fresh-set run
-    (bit-identical to calling
-    :func:`count_misses_kernel`/:func:`sequence_hits` per query), but
+    snapshot reuse.  Each query is an independent run from the start
+    image — an empty set, or ``preload[w]`` resident in way ``w`` with
+    the automaton in its reset state (the kernel analogue of
+    :meth:`repro.cache.set.CacheSet.preload` on a fresh set) — but
     consecutive queries sharing a setup — the dominant shape in
     inference and distinguishing searches — replay the post-setup
     snapshot instead of re-running the setup, which is where the batch
     win on top of amortized call overhead comes from.
     """
-    ways = compiled.ways
+    if preload is None:
+        start_way_of: dict[int, int] = {}
+        start_tag_of = [0] * compiled.ways
+    else:
+        start_way_of = {tag: way for way, tag in enumerate(preload)}
+        start_tag_of = list(preload)
     outcomes: list[list[bool]] = []
     executed = 0
     executed_hits = 0
     reused = 0
     prev_setup: tuple[int, ...] | None = None
-    base_way_of: dict[int, int] = {}
-    base_tag_of: list[int] = [0] * ways
+    base_way_of = start_way_of
+    base_tag_of = start_tag_of
     base_state = 0
     for setup, probe in queries:
         setup_key = tuple(setup)
         if setup_key != prev_setup:
-            base_way_of = {}
-            base_tag_of = [0] * ways
+            base_way_of = dict(start_way_of)
+            base_tag_of = list(start_tag_of)
             base_state, setup_hits = _run_blocks(
                 compiled, setup, base_way_of, base_tag_of, 0
             )
@@ -301,61 +207,44 @@ def _run_batch(
     return outcomes, executed, executed_hits, reused
 
 
-def _batch_outcomes(
-    compiled: CompiledPolicy,
-    queries: Sequence[tuple[Sequence[int], Sequence[int]]],
-) -> list[list[bool]]:
-    """Run a batch — vectorized when possible — and flush its counters.
-
-    The vector engine's accounting tuple is definitionally identical to
-    the scalar batch's (same chunking-by-consecutive-setup rule), so the
-    ``kernel.*`` counters do not depend on which engine ran; only the
-    ``kernel.vector.*`` namespace reveals the difference.  The trie
-    planner takes the batch first when its gates pass — its *results*
-    are still bit-identical, but it executes strictly fewer accesses
-    (the skipped ones are reported as ``kernel.trie.reused_accesses``;
-    see OBSERVABILITY.md for the relaxed parity contract).
-    """
-    planned = trie.plan_outcomes(compiled, queries)
-    if planned is not None:
-        outcomes, executed, executed_hits = planned
-        _note_kernel_call("batch", executed, executed_hits, executed - executed_hits)
-        return outcomes
-    result = vector.batch_outcomes(compiled, queries)
-    if result is None:
-        result = _run_batch(compiled, queries)
-    outcomes, executed, executed_hits, reused = result
-    _flush_batch(executed, executed_hits, reused)
-    return outcomes
-
-
-def _flush_batch(executed: int, executed_hits: int, reused: int) -> None:
+def _flush_batch(executed: int, executed_hits: int, reused: int = 0) -> None:
     _note_kernel_call("batch", executed, executed_hits, executed - executed_hits)
     if reused:
         obs_metrics.DEFAULT.incr("kernel.setup_reused", reused)
 
 
-def count_misses_batch(
+def batch_miss_counts(
     compiled: CompiledPolicy,
-    queries: Sequence[tuple[Sequence[int], Sequence[int]]],
+    queries: Queries,
+    preload: Sequence[int] | None = None,
 ) -> list[int]:
     """Probe miss counts of many ``(setup, probe)`` queries, in order.
 
-    One metrics flush covers the whole batch; the counts themselves are
-    bit-identical to per-query :func:`count_misses_kernel` calls.  On
-    the vector path the per-access outcomes are summed per lane in
-    numpy and never materialize as Python lists.  A prefix-redundant
-    batch is taken by the trie planner first (:mod:`repro.kernels.trie`),
-    which executes each shared ``setup ‖ probe`` prefix exactly once.
+    Engine choice for one compiled batch: the trie planner
+    (:mod:`repro.kernels.trie`) first — it executes each shared
+    ``setup ‖ probe`` prefix exactly once, and takes only batches
+    without a start image — then the vector engine, whose per-lane
+    outcomes are summed in numpy and never materialize as Python lists,
+    then the scalar :func:`_run_batch`.  Every engine gives identical
+    counts; one metrics flush covers the batch.  The vector engine's
+    accounting is definitionally identical to the scalar batch's (same
+    chunking-by-consecutive-setup rule), so only ``kernel.vector.*``
+    reveals which of the two ran; the planner executes strictly fewer
+    accesses and reports the skipped ones as
+    ``kernel.trie.reused_accesses`` (see OBSERVABILITY.md for the
+    relaxed parity contract).
     """
-    planned = trie.plan_miss_counts(compiled, queries)
-    if planned is not None:
-        counts, executed, executed_hits = planned
-        _note_kernel_call("batch", executed, executed_hits, executed - executed_hits)
-        return counts
-    result = vector.batch_miss_counts(compiled, queries)
+    if preload is None:
+        planned = trie.plan_miss_counts(compiled, queries)
+        if planned is not None:
+            counts, executed, executed_hits = planned
+            _flush_batch(executed, executed_hits)
+            return counts
+    result = vector.batch_miss_counts(compiled, queries, preload)
     if result is None:
-        outcomes, executed, executed_hits, reused = _run_batch(compiled, queries)
+        outcomes, executed, executed_hits, reused = _run_batch(
+            compiled, queries, preload
+        )
         counts = [len(hits) - sum(hits) for hits in outcomes]
     else:
         counts, executed, executed_hits, reused = result
@@ -363,84 +252,28 @@ def count_misses_batch(
     return counts
 
 
-def sequence_hits_batch(
+def batch_outcomes(
     compiled: CompiledPolicy,
-    queries: Sequence[tuple[Sequence[int], Sequence[int]]],
+    queries: Queries,
+    preload: Sequence[int] | None = None,
 ) -> list[tuple[bool, ...]]:
-    """Per-access outcomes of many ``(setup, probe)`` queries, in order.
+    """Per-access probe outcomes of many queries, in order.
 
-    Bit-identical to per-query :func:`sequence_hits` calls; one metrics
-    flush covers the batch.
+    The outcome twin of :func:`batch_miss_counts`: same engine order,
+    same accounting, one metrics flush per batch.
     """
-    outcomes = _batch_outcomes(compiled, queries)
+    if preload is None:
+        planned = trie.plan_outcomes(compiled, queries)
+        if planned is not None:
+            outcomes, executed, executed_hits = planned
+            _flush_batch(executed, executed_hits)
+            return [tuple(hits) for hits in outcomes]
+    result = vector.batch_outcomes(compiled, queries, preload)
+    if result is None:
+        result = _run_batch(compiled, queries, preload)
+    outcomes, executed, executed_hits, reused = result
+    _flush_batch(executed, executed_hits, reused)
     return [tuple(hits) for hits in outcomes]
-
-
-def sequence_hits(
-    compiled: CompiledPolicy, setup: Sequence[int], probe: Sequence[int]
-) -> tuple[bool, ...]:
-    """Per-access hit/miss outcome of ``probe`` after ``setup``."""
-    way_of: dict[int, int] = {}
-    tag_of = [0] * compiled.ways
-    state, setup_hits = _run_blocks(compiled, setup, way_of, tag_of, 0)
-    hits: list[bool] = []
-    _run_blocks(compiled, probe, way_of, tag_of, state, hits)
-    probe_hits = sum(hits)
-    total = len(setup) + len(hits)
-    total_hits = setup_hits + probe_hits
-    _note_kernel_call("set", total, total_hits, total - total_hits)
-    return tuple(hits)
-
-
-def simulate_sequence(
-    compiled: CompiledPolicy, blocks: Sequence[int]
-) -> list[SetAccessResult]:
-    """Replay a block-id sequence from a fresh set; full per-access detail.
-
-    Returns the same :class:`~repro.cache.set.SetAccessResult` values an
-    interpreted :class:`~repro.cache.set.CacheSet` produces, eviction
-    order included — the equivalence the property suite asserts.
-    """
-    ways = compiled.ways
-    way_of: dict[int, int] = {}
-    tag_of = [0] * ways
-    state = 0
-    results: list[SetAccessResult] = []
-    for block in blocks:
-        way = way_of.get(block)
-        if way is not None:
-            nxt = compiled.hit_next[state * ways + way]
-            state = nxt if nxt >= 0 else compiled.expand_hit(state, way)
-            results.append(SetAccessResult(hit=True, way=way, evicted_tag=None))
-            continue
-        filled = len(way_of)
-        if filled < ways:
-            way_of[block] = filled
-            tag_of[filled] = block
-            nxt = compiled.fill_next[state * ways + filled]
-            state = nxt if nxt >= 0 else compiled.expand_fill(state, filled)
-            results.append(SetAccessResult(hit=False, way=filled, evicted_tag=None))
-        else:
-            victim = compiled.miss_victim[state]
-            if victim >= 0:
-                nxt = compiled.miss_next[state]
-            else:
-                victim, nxt = compiled.expand_miss(state)
-            evicted = tag_of[victim]
-            del way_of[evicted]
-            tag_of[victim] = block
-            way_of[block] = victim
-            state = nxt
-            results.append(SetAccessResult(hit=False, way=victim, evicted_tag=evicted))
-    total_hits = sum(1 for outcome in results if outcome.hit)
-    _note_kernel_call(
-        "set",
-        len(results),
-        total_hits,
-        len(results) - total_hits,
-        sum(1 for outcome in results if outcome.evicted_tag is not None),
-    )
-    return results
 
 
 # -- whole-cache trace runs --------------------------------------------------
@@ -495,6 +328,13 @@ def _simulate_trace_compiled(
                 "trace", stats.accesses, stats.hits, stats.misses, stats.evictions
             )
             return stats
+    return _simulate_trace_scalar(trace, config, compiled, policy)
+
+
+def _simulate_trace_scalar(
+    trace: Trace, config: CacheConfig, compiled: CompiledPolicy, policy: str = "?"
+) -> CacheStats:
+    """The scalar whole-trace engine: one Python step per access."""
     offset_bits, index_bits, hashed, set_mask = _decompose_params(config)
     num_sets = config.num_sets
     ways = config.ways

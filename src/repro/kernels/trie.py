@@ -1,8 +1,8 @@
 """Prefix-trie query planner: execute each shared access prefix once.
 
-The batched engines (:func:`repro.kernels.count_misses_batch` /
-:func:`repro.kernels.sequence_hits_batch`) execute every ``(setup,
-probe)`` query of a batch end-to-end, reusing work only for
+The batched engines (the scalar ``_run_batch`` of
+:mod:`repro.kernels.engine` and :mod:`repro.kernels.vector`) execute
+every ``(setup, probe)`` query of a batch end-to-end, reusing work only for
 *consecutive, bit-identical* setups.  But inference-shaped batches are
 far more redundant than that: the establishment prefix is shared by
 every position measurement, verification windows replay nested prefixes
@@ -67,7 +67,6 @@ Ground rules (matching :mod:`repro.kernels.vector`):
 from __future__ import annotations
 
 from collections.abc import Sequence
-from contextlib import contextmanager
 from itertools import chain
 
 from repro.kernels import vector
@@ -83,10 +82,6 @@ __all__ = [
     "MIN_SHARE_RATIO",
     "plan_miss_counts",
     "plan_outcomes",
-    "set_trie_enabled",
-    "trie_allowed",
-    "trie_disabled",
-    "trie_enabled",
 ]
 
 #: Below this many queries a batch stays on the batched engines: the
@@ -109,40 +104,6 @@ MAX_MATRIX_CELLS = 64_000_000
 #: chain-shaped trie runs faster under the scalar replay.
 MIN_VECTOR_NODES = 256
 MIN_AVG_FRONTIER = 8
-
-_ENABLED = True
-
-
-def trie_enabled() -> bool:
-    """True when the planner may be used (process-wide switch)."""
-    return _ENABLED
-
-
-def set_trie_enabled(enabled: bool) -> None:
-    """Globally enable or disable the planner (batched engines stay)."""
-    global _ENABLED
-    _ENABLED = bool(enabled)
-
-
-@contextmanager
-def trie_disabled():
-    """Temporarily force the batched engines (tests, A/B benchmarks)."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = False
-    try:
-        yield
-    finally:
-        _ENABLED = previous
-
-
-def trie_allowed() -> bool:
-    """True when the planner may run right now.
-
-    Unlike the vector engine there is no numpy requirement: the scalar
-    replay is a complete planner implementation.
-    """
-    return _ENABLED
 
 
 def _note_fallback() -> None:
@@ -167,7 +128,7 @@ def plan_miss_counts(compiled, queries):
     Returns ``(counts, executed, executed_hits)`` — counts in request
     order, plus the accounting the caller flushes as one ``"batch"``
     kernel call — or ``None`` when the batch should stay on the batched
-    engines (planner disabled, too few queries, or sharing below
+    engines (too few queries, or sharing below
     :data:`MIN_SHARE_RATIO`).
     """
     return _plan(compiled, queries, want_outcomes=False)
@@ -183,7 +144,7 @@ def plan_outcomes(compiled, queries):
 
 
 def _plan(compiled, queries, want_outcomes):
-    if not trie_allowed() or len(queries) < MIN_QUERIES:
+    if len(queries) < MIN_QUERIES:
         return None
     count = len(queries)
     splits = [len(setup) for setup, _ in queries]

@@ -12,12 +12,13 @@ access step::
 
     states[hit] = hit_next[states[hit] * ways + ways_hit]
 
-Three entry points, each mirroring (and bit-identical to) a scalar one:
+Two kinds of entry point, each mirroring (and bit-identical to) a
+scalar one:
 
-* :func:`batch_outcomes` — many ``(setup, probe)`` queries through one
-  automaton (behind ``count_misses_batch`` / ``sequence_hits_batch``);
-* :func:`preloaded_outcomes` — many probes from one preloaded set
-  (behind ``sequence_hits_preloaded_batch``);
+* :func:`batch_outcomes` / :func:`batch_miss_counts` — many ``(setup,
+  probe)`` queries through one automaton, from an empty set or a
+  preloaded start image (behind ``count_misses_batch`` /
+  ``sequence_hits_batch``);
 * :func:`simulate_trace_lockstep` — a whole address trace, partitioned
   per set and run with all ``num_sets`` automata advancing lock-step
   (behind ``simulate_trace_kernel`` / ``try_simulate_trace``).
@@ -53,7 +54,6 @@ from __future__ import annotations
 
 import weakref
 from collections.abc import Sequence
-from contextlib import contextmanager
 from itertools import chain
 
 from repro.errors import KernelUnsupported
@@ -71,12 +71,8 @@ __all__ = [
     "batch_outcomes",
     "ensure_tables",
     "numpy_available",
-    "preloaded_outcomes",
-    "set_vector_enabled",
     "simulate_trace_lockstep",
     "vector_allowed",
-    "vector_disabled",
-    "vector_enabled",
 ]
 
 #: Below this many lanes a batch stays scalar: per-step numpy dispatch
@@ -97,44 +93,17 @@ MIN_FILL_RATIO = 0.2
 #: Block ids / tags must fit comfortably in int64 lanes.
 _MAX_BLOCK = 1 << 62
 
-_ENABLED = True
-
 
 def available() -> bool:
     """True when numpy is importable in this process."""
     return _np is not None
 
 
-#: Package-level alias: ``repro.kernels.numpy_available()``.
+#: Package-level aliases: ``repro.kernels.numpy_available()`` and the
+#: engines' "may the vector engine run" check — the same question, as
+#: numpy availability is the vector engine's only gate.
 numpy_available = available
-
-
-def vector_enabled() -> bool:
-    """True when the vector engine may be used (process-wide switch)."""
-    return _ENABLED
-
-
-def set_vector_enabled(enabled: bool) -> None:
-    """Globally enable or disable the vector engine (scalar kernel stays)."""
-    global _ENABLED
-    _ENABLED = bool(enabled)
-
-
-@contextmanager
-def vector_disabled():
-    """Temporarily force the scalar engine (tests, A/B benchmarks)."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = False
-    try:
-        yield
-    finally:
-        _ENABLED = previous
-
-
-def vector_allowed() -> bool:
-    """True when the vector engine may run right now."""
-    return _ENABLED and _np is not None
+vector_allowed = available
 
 
 class VectorTables:
@@ -314,21 +283,26 @@ def _run_lanes(tables, states, tags, filled, blocks, lengths, hits_out=None):
     return total_hits, evictions
 
 
-def _scalar_run(tables, blocks) -> tuple[int, dict, int]:
+def _scalar_run(tables, blocks, preload=None) -> tuple[int, dict, int]:
     """Walk one sequence over the numpy tables in plain Python.
 
-    Used for chunk setups: each runs once and its snapshot seeds every
-    lane of the chunk.  Returns ``(state, way_of, hits)`` — the same
-    snapshot the scalar engine's ``_run_blocks`` maintains (``tag_of``
-    is recoverable from ``way_of`` since these runs never invalidate).
+    Used for chunk setups: each runs once, from the empty set or the
+    ``preload`` start image, and its snapshot seeds every lane of the
+    chunk.  Returns ``(state, way_of, hits)`` — the same snapshot the
+    scalar engine's ``_run_blocks`` maintains (``tag_of`` is recoverable
+    from ``way_of`` since these runs never invalidate).
     """
     ways = tables.ways
     hit_next = tables.hit_next
     fill_next = tables.fill_next
     miss_victim = tables.miss_victim
     miss_next = tables.miss_next
-    way_of: dict = {}
-    tag_of = [-1] * ways
+    if preload is None:
+        way_of: dict = {}
+        tag_of = [-1] * ways
+    else:
+        way_of = {tag: way for way, tag in enumerate(preload)}
+        tag_of = list(preload)
     state = 0
     hits = 0
     for block in blocks:
@@ -424,19 +398,20 @@ def _split_outcomes(hits_out, lengths_sorted, step, lane, order):
 
 # -- batched (setup, probe) queries ------------------------------------------
 
-def batch_outcomes(compiled, queries):
+def batch_outcomes(compiled, queries, preload=None):
     """Vectorized analogue of the scalar engine's ``_run_batch``.
 
     Returns ``(outcomes, executed, executed_hits, reused)`` — the same
     accounting tuple, with identical values (outcomes as tuples) — or
-    ``None`` when the batch must stay scalar (numpy absent/disabled,
-    automaton not fully expandable, too few lanes, or block ids outside
-    the int64 lane range).  Queries are chunked by *consecutive equal
-    setups* exactly like the scalar path; every chunk's setup runs once
-    (in Python, over the numpy tables) and its snapshot seeds that
-    chunk's lanes, after which ALL lanes advance in one stepper call.
+    ``None`` when the batch must stay scalar (numpy absent, automaton
+    not fully expandable, too few lanes, or block ids outside the int64
+    lane range).  Queries are chunked by *consecutive equal setups*
+    exactly like the scalar path; every chunk's setup runs once (in
+    Python, over the numpy tables, from the empty set or the
+    ``preload`` start image) and its snapshot seeds that chunk's lanes,
+    after which ALL lanes advance in one stepper call.
     """
-    run = _batch_run(compiled, queries)
+    run = _batch_run(compiled, queries, preload)
     if run is None:
         return None
     hits_out, lengths_sorted, step, lane, order, accounting = run
@@ -444,7 +419,7 @@ def batch_outcomes(compiled, queries):
     return (outcomes, *accounting)
 
 
-def batch_miss_counts(compiled, queries):
+def batch_miss_counts(compiled, queries, preload=None):
     """Per-query probe *miss counts* — the oracle path, list-free.
 
     Same contract and accounting as :func:`batch_outcomes`, but the
@@ -452,7 +427,7 @@ def batch_miss_counts(compiled, queries):
     hit column is summed in numpy.  Returns ``(counts, executed,
     executed_hits, reused)`` or ``None`` for scalar fallback.
     """
-    run = _batch_run(compiled, queries)
+    run = _batch_run(compiled, queries, preload)
     if run is None:
         return None
     hits_out, lengths_sorted, _, _, order, accounting = run
@@ -463,13 +438,14 @@ def batch_miss_counts(compiled, queries):
     return (counts, *accounting)
 
 
-def _batch_run(compiled, queries):
-    if not vector_allowed() or len(queries) < MIN_LANES:
+def _batch_run(compiled, queries, preload=None):
+    if _np is None or len(queries) < MIN_LANES:
         return None
     tables = ensure_tables(compiled)
     if tables is None:
-        if available() and vector_enabled():
-            _note_fallback()
+        _note_fallback()
+        return None
+    if preload is not None and any(tag < 0 or tag >= _MAX_BLOCK for tag in preload):
         return None
     np = _np
     ways = tables.ways
@@ -506,7 +482,7 @@ def _batch_run(compiled, queries):
             _note_fallback()
             return None  # id outside the lane range: whole batch stays scalar
         start, end = chunk_bounds[chunk], chunk_bounds[chunk + 1]
-        state, way_of, setup_hits = _scalar_run(tables, setup_key)
+        state, way_of, setup_hits = _scalar_run(tables, setup_key, preload)
         executed += len(setup_key)
         executed_hits += setup_hits
         reused += len(setup_key) * (end - start - 1)
@@ -546,49 +522,6 @@ def _batch_run(compiled, queries):
     return hits_out, lengths_sorted, step, lane, order, accounting
 
 
-# -- batched preloaded probes ------------------------------------------------
-
-def preloaded_outcomes(compiled, tags_list, probes):
-    """Vectorized ``sequence_hits_preloaded`` over many probes.
-
-    Every lane starts from the same preloaded full set in the reset
-    state (``tags_list[w]`` resident in way ``w``).  Returns
-    ``(outcomes, accesses, hits)`` or ``None`` for scalar fallback.
-    """
-    if not vector_allowed() or len(probes) < MIN_LANES:
-        return None
-    tables = ensure_tables(compiled)
-    if tables is None:
-        if available() and vector_enabled():
-            _note_fallback()
-        return None
-    np = _np
-    ways = tables.ways
-    if len(tags_list) != ways:
-        return None  # let the scalar path raise its KernelUnsupported
-    if any(tag < 0 or tag >= _MAX_BLOCK for tag in tags_list):
-        return None
-    count = len(probes)
-    lengths = np.fromiter((len(p) for p in probes), dtype=np.int64, count=count)
-    order = np.argsort(-lengths, kind="stable")
-    layout = _lane_matrix(probes, order, lengths)
-    if layout is None:
-        _note_fallback()
-        return None
-    blocks, lengths_sorted, step, lane = layout
-    states = np.zeros(count, dtype=np.int32)
-    tags = np.tile(np.asarray(tags_list, dtype=np.int64), (count, 1))
-    filled = np.full(count, ways, dtype=np.int32)
-    hits_out = np.zeros(blocks.shape, dtype=bool)
-    total_hits, _ = _run_lanes(
-        tables, states, tags, filled, blocks, lengths_sorted, hits_out
-    )
-    outcomes = _split_outcomes(hits_out, lengths_sorted, step, lane, order)
-    accesses = int(lengths.sum())
-    _note_vector_call(count, accesses)
-    return outcomes, accesses, total_hits
-
-
 # -- whole-trace lock-step ---------------------------------------------------
 
 def simulate_trace_lockstep(trace, config, compiled):
@@ -599,15 +532,14 @@ def simulate_trace_lockstep(trace, config, compiled):
     then every set advances one access per stepper column.  Returns a
     :class:`~repro.cache.stats.CacheStats` bit-identical to the scalar
     trace engine / interpreter, or ``None`` for scalar fallback (numpy
-    absent/disabled, too few sets, automaton not fully expandable, a
+    absent, too few sets, automaton not fully expandable, a
     pathologically skewed trace, or tags beyond the int64 lane range).
     """
-    if not vector_allowed() or config.num_sets < MIN_TRACE_LANES:
+    if _np is None or config.num_sets < MIN_TRACE_LANES:
         return None
     tables = ensure_tables(compiled)
     if tables is None:
-        if available() and vector_enabled():
-            _note_fallback()
+        _note_fallback()
         return None
     from repro.cache.stats import CacheStats
 

@@ -51,36 +51,43 @@ The event schema, result protocol, ledger schema and run-history plane
 are documented in OBSERVABILITY.md.
 """
 
-from repro.obs.ledger import (
-    LEDGER_SCHEMA_VERSION,
-    RunLedger,
-    build_ledger,
-    diff_ledgers,
-    format_ledger,
-    ledger_path_for,
-    read_ledger,
-    validate_ledger,
-    write_ledger,
-)
-from repro.obs.metrics import DEFAULT, Metrics, MetricSummary
-from repro.obs.result import (
-    SCHEMA_VERSION,
-    ExperimentResult,
-    validate_result,
-    validate_result_file,
-)
-from repro.obs.spans import adopt, current_span, span, traced
-from repro.obs.trace import (
-    JsonlWriter,
-    Tracer,
-    filter_events,
-    format_event,
-    install,
-    read_jsonl,
-    tracing,
-    uninstall,
-    write_jsonl,
-)
+import importlib
+
+#: Public name -> the submodule that defines it.  Loaded on first
+#: access (PEP 562), so ``python -m repro.obs.ledger`` and
+#: ``python -m repro.obs.result`` do not find their module already
+#: imported by the package.
+_EXPORTS = {
+    "LEDGER_SCHEMA_VERSION": "repro.obs.ledger",
+    "RunLedger": "repro.obs.ledger",
+    "build_ledger": "repro.obs.ledger",
+    "diff_ledgers": "repro.obs.ledger",
+    "format_ledger": "repro.obs.ledger",
+    "ledger_path_for": "repro.obs.ledger",
+    "read_ledger": "repro.obs.ledger",
+    "validate_ledger": "repro.obs.ledger",
+    "write_ledger": "repro.obs.ledger",
+    "DEFAULT": "repro.obs.metrics",
+    "Metrics": "repro.obs.metrics",
+    "MetricSummary": "repro.obs.metrics",
+    "SCHEMA_VERSION": "repro.obs.result",
+    "ExperimentResult": "repro.obs.result",
+    "validate_result": "repro.obs.result",
+    "validate_result_file": "repro.obs.result",
+    "adopt": "repro.obs.spans",
+    "current_span": "repro.obs.spans",
+    "span": "repro.obs.spans",
+    "traced": "repro.obs.spans",
+    "JsonlWriter": "repro.obs.trace",
+    "Tracer": "repro.obs.trace",
+    "filter_events": "repro.obs.trace",
+    "format_event": "repro.obs.trace",
+    "install": "repro.obs.trace",
+    "read_jsonl": "repro.obs.trace",
+    "tracing": "repro.obs.trace",
+    "uninstall": "repro.obs.trace",
+    "write_jsonl": "repro.obs.trace",
+}
 
 __all__ = [
     "DEFAULT",
@@ -113,3 +120,16 @@ __all__ = [
     "uninstall",
     "write_jsonl",
 ]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro.obs' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -4,15 +4,13 @@ The detector answers one question per experiment group: *is the latest
 run slower (or hungrier) than its recent history says it should be?*
 
 Runs are grouped by **baseline key** — ``(experiment name, jobs,
-kernel, vector, trie)`` — because those switches legitimately change
-wall time; comparing a serial interpreter run against a ``--jobs 4``
-kernel run would only produce noise, and a planner-on run must never be
-baselined against a planner-off one.  The ``trie`` component comes from
-the run's recorded ``trie`` param when present (CLI runs record it) and
-otherwise from whether the run's counters show planner engagement
-(``kernel.trie.plans``), so pre-planner history rows and ``--no-trie``
-runs stay in their own groups.  Within a group the newest run is the
-**candidate** and the runs before it form the **baseline window**:
+kernel, vector)`` — because those settings legitimately change wall
+time; comparing a serial interpreter run against a ``--jobs 4`` kernel
+run would only produce noise.  ``vector`` is the run's recorded
+``vector`` param: whether numpy, and with it the vector engine, was
+importable (CLI simulation runs record it).  Within a group the newest
+run is the **candidate** and the runs before it form the **baseline
+window**:
 
 * baseline center = median of the window's values (robust to one bad
   historical run);
@@ -109,7 +107,6 @@ class BaselineKey:
     jobs: int | None
     kernel: bool | None
     vector: bool | None
-    trie: bool | None = None
 
     def describe(self) -> str:
         parts = [self.name]
@@ -117,8 +114,6 @@ class BaselineKey:
         parts.append(f"kernel={self.kernel if self.kernel is not None else '-'}")
         if self.vector is not None:
             parts.append(f"vector={self.vector}")
-        if self.trie is not None:
-            parts.append(f"trie={self.trie}")
         return " ".join(parts)
 
 
@@ -180,31 +175,12 @@ def _exceeds(
     return value > median + NOISE_SIGMAS * 1.4826 * mad + epsilon
 
 
-def _trie_flag(params: dict | None, counters: dict | None) -> bool | None:
-    """The ``trie`` component of a run's baseline key.
-
-    The recorded ``trie`` param (CLI runs) is authoritative; absent
-    that, a run whose counters show planner engagement groups as
-    ``True``.  ``None`` (no param, no engagement evidence) covers
-    pre-planner history rows AND planner-eligible runs where no batch
-    ever met the gates — both of which executed the plain batched
-    engines, so comparing them is sound.
-    """
-    trie = (params or {}).get("trie")
-    if trie is not None:
-        return bool(trie)
-    if counters and counters.get("kernel.trie.plans"):
-        return True
-    return None
-
-
 def _key_for(run: dict) -> BaselineKey:
     return BaselineKey(
         name=run["name"],
         jobs=run.get("jobs"),
         kernel=run.get("kernel"),
         vector=run.get("vector"),
-        trie=_trie_flag(run.get("params"), run.get("counters")),
     )
 
 
@@ -364,7 +340,6 @@ def check_run(
         jobs=ledger.jobs,
         kernel=ledger.kernel,
         vector=None if vector is None else bool(vector),
-        trie=_trie_flag(params, ledger.counters),
     )
     candidate = {
         "id": None,
@@ -374,7 +349,6 @@ def check_run(
         "jobs": ledger.jobs,
         "kernel": ledger.kernel,
         "vector": key.vector,
-        "trie": key.trie,
         "counters": ledger.counters,
     }
     baseline = [

@@ -222,12 +222,10 @@ def _apply_kernel_spec(spec) -> Callable[[], None]:
 
     previous = (
         kernels.kernel_enabled(),
-        kernels.vector_enabled(),
         str(store.cache_dir()),
         store.store_enabled(),
     )
     kernels.set_kernel_enabled(spec["enabled"])
-    kernels.set_vector_enabled(spec["vector"])
     if str(store.cache_dir()) != spec["store_dir"]:
         # set_cache_dir drops the persisted-artifact memo, so only
         # re-point when the directory actually changed.
@@ -236,10 +234,9 @@ def _apply_kernel_spec(spec) -> Callable[[], None]:
 
     def restore() -> None:
         kernels.set_kernel_enabled(previous[0])
-        kernels.set_vector_enabled(previous[1])
-        if str(store.cache_dir()) != previous[2]:
-            store.set_cache_dir(previous[2])
-        store.set_store_enabled(previous[3])
+        if str(store.cache_dir()) != previous[1]:
+            store.set_cache_dir(previous[1])
+        store.set_store_enabled(previous[2])
 
     return restore
 
@@ -476,7 +473,6 @@ class ExperimentRunner:
         }
         spec["kernel"] = {
             "enabled": kernels.kernel_enabled(),
-            "vector": kernels.vector_enabled(),
             "store_dir": str(store.cache_dir()),
             "store_enabled": store.store_enabled(),
         }

@@ -20,12 +20,12 @@ from repro.core.permutation import standard_miss_perm
 from repro.kernels import (
     clear_compile_cache,
     compile_policy,
-    count_misses_kernel,
+    count_misses_batch,
     kernel_disabled,
-    simulate_sequence,
     simulate_trace_direct,
     try_simulate_trace,
 )
+from repro.kernels.engine import _run_blocks
 from repro.policies import PermutationPolicy, PermutationSpec, available, make_policy
 from repro.util.rng import SeededRng
 from repro.workloads.trace import Trace
@@ -56,26 +56,35 @@ def build(name, ways=WAYS):
     return make_policy(name, ways)
 
 
+def assert_steps_match(compiled, cache_set, blocks):
+    """Step the automaton and the interpreted set together, access by
+    access: hit/miss outcome and the full tag image (so fill way and
+    eviction order) must agree after every access."""
+    way_of: dict[int, int] = {}
+    tag_of = [0] * compiled.ways
+    state = 0
+    for block in blocks:
+        hits: list[bool] = []
+        state, _ = _run_blocks(compiled, [block], way_of, tag_of, state, hits)
+        assert hits == [cache_set.access(block).hit]
+        resident = [tag_of[way] if way < len(way_of) else None for way in range(WAYS)]
+        assert resident == cache_set.contents()
+
+
 @given(name=policy_names, blocks=block_sequences)
 @settings(max_examples=150, deadline=None)
 def test_registry_policies_bit_identical(name, blocks):
     """Every deterministic policy: full per-access detail matches."""
-    compiled = compile_policy(build(name))
-    cache_set = CacheSet(WAYS, build(name))
-    assert simulate_sequence(compiled, blocks) == [
-        cache_set.access(block) for block in blocks
-    ]
+    assert_steps_match(compile_policy(build(name)), CacheSet(WAYS, build(name)), blocks)
 
 
 @given(spec=random_specs(), blocks=block_sequences)
 @settings(max_examples=100, deadline=None)
 def test_random_specs_bit_identical(spec, blocks):
     """Arbitrary permutation specs: full per-access detail matches."""
-    compiled = compile_policy(spec)
-    cache_set = CacheSet(WAYS, PermutationPolicy(WAYS, spec))
-    assert simulate_sequence(compiled, blocks) == [
-        cache_set.access(block) for block in blocks
-    ]
+    assert_steps_match(
+        compile_policy(spec), CacheSet(WAYS, PermutationPolicy(WAYS, spec)), blocks
+    )
 
 
 @given(
@@ -86,12 +95,10 @@ def test_random_specs_bit_identical(spec, blocks):
 @settings(max_examples=100, deadline=None)
 def test_miss_counts_match_oracle(name, setup, probe):
     """Kernel miss counts equal the interpreted oracle's."""
-    compiled = compile_policy(build(name))
+    (fast,) = count_misses_batch(build(name), [(setup, probe)])
     with kernel_disabled():
         oracle = SimulatedSetOracle(build(name))
-        assert count_misses_kernel(compiled, setup, probe) == oracle.count_misses(
-            setup, probe
-        )
+        assert fast == oracle.count_misses(setup, probe)
 
 
 def _random_trace(lines: int, length: int, seed: int) -> Trace:

@@ -15,16 +15,14 @@ from repro.kernels import (
     compiled_for_factory,
     compiled_for_spec,
     count_misses_batch,
-    count_misses_kernel,
     kernel_disabled,
     mark_factory_unsupported,
     mark_spec_unsupported,
     mark_unsupported,
-    sequence_hits,
     sequence_hits_batch,
-    sequence_hits_preloaded,
     store,
 )
+from repro.kernels.engine import _run_batch
 from repro.obs import metrics as obs_metrics
 from repro.policies import LruPolicy, lru_spec, make_policy
 from repro.runner import ExperimentRunner, clear_memo, run_sim_cells
@@ -44,6 +42,11 @@ def _fresh_caches():
 
 def _counters():
     return obs_metrics.DEFAULT.snapshot()["counters"]
+
+
+def _outcomes(compiled, queries):
+    """Per-query outcomes of one specific automaton (scalar engine)."""
+    return _run_batch(compiled, queries)[0]
 
 
 WAYS = 3
@@ -73,10 +76,7 @@ class TestRoundTrip:
         assert loaded.fill_next == compiled.fill_next
         assert loaded.miss_victim == compiled.miss_victim
         assert loaded.miss_next == compiled.miss_next
-        for setup, probe in PROBE_QUERIES:
-            assert count_misses_kernel(loaded, setup, probe) == count_misses_kernel(
-                compiled, setup, probe
-            )
+        assert _outcomes(loaded, PROBE_QUERIES) == _outcomes(compiled, PROBE_QUERIES)
 
     def test_spec_round_trip(self):
         spec = lru_spec(4)
@@ -86,9 +86,8 @@ class TestRoundTrip:
         loaded = store.load(key)
         assert loaded is not None
         assert loaded.num_states == compiled.expand_all() == 24
-        assert sequence_hits(loaded, [1, 2, 3, 4], [5, 1, 2, 6]) == sequence_hits(
-            compiled, [1, 2, 3, 4], [5, 1, 2, 6]
-        )
+        query = [([1, 2, 3, 4], [5, 1, 2, 6])]
+        assert _outcomes(loaded, query) == _outcomes(compiled, query)
 
     def test_frozen_automaton_cannot_expand(self):
         compiled = compile_policy("lru", WAYS)
@@ -307,11 +306,10 @@ class TestBatchEngines:
         "name", [name for name, _ in all_deterministic_policies(WAYS)]
     )
     def test_count_misses_batch_matches_per_query_and_interpreter(self, name):
-        compiled = compiled_for_factory(name, (), WAYS)
-        batch = count_misses_batch(compiled, PROBE_QUERIES)
+        policy = make_policy(name, WAYS)
+        batch = count_misses_batch(policy, PROBE_QUERIES)
         assert batch == [
-            count_misses_kernel(compiled, setup, probe)
-            for setup, probe in PROBE_QUERIES
+            count_misses_batch(policy, [query])[0] for query in PROBE_QUERIES
         ]
         with kernel_disabled():
             oracle = SimulatedSetOracle(make_policy(name, WAYS))
@@ -323,26 +321,26 @@ class TestBatchEngines:
         "name", [name for name, _ in all_deterministic_policies(WAYS)]
     )
     def test_sequence_hits_batch_matches_per_query(self, name):
-        compiled = compiled_for_factory(name, (), WAYS)
+        policy = make_policy(name, WAYS)
         shared_setup = [9, 8, 7]
         queries = [(shared_setup, probe) for _, probe in PROBE_QUERIES]
-        assert sequence_hits_batch(compiled, queries) == [
-            sequence_hits(compiled, setup, probe) for setup, probe in queries
+        assert sequence_hits_batch(policy, queries) == [
+            sequence_hits_batch(policy, [query])[0] for query in queries
         ]
 
     def test_sequence_hits_preloaded_matches_cache_set(self):
-        compiled = compiled_for_factory("srrip", (), 4)
         tags = [10, 11, 12, 13]
         probe = [14, 10, 15, 11, 12, 14]
         cache_set = CacheSet(4, make_policy("srrip", 4))
         cache_set.preload(tags)
         expected = tuple(cache_set.access(block).hit for block in probe)
-        assert sequence_hits_preloaded(compiled, tags, probe) == expected
+        policy = make_policy("srrip", 4)
+        assert sequence_hits_batch(policy, [([], probe)], preload=tags) == [expected]
 
     def test_batch_flushes_one_kernel_call(self):
-        compiled = compiled_for_factory("lru", (), WAYS)
+        policy = make_policy("lru", WAYS)
         obs_metrics.DEFAULT.reset()
-        count_misses_batch(compiled, PROBE_QUERIES)
+        count_misses_batch(policy, PROBE_QUERIES)
         counters = _counters()
         assert counters["kernel.calls"] == 1
         assert counters["kernel.calls.batch"] == 1

@@ -12,13 +12,16 @@ Four concerns, mirroring the contract in :mod:`repro.kernels.trie`:
   ``kernel.accesses + kernel.trie.reused_accesses`` equals the accesses
   a per-query run would have executed.  ``kernel.trie.plans`` / ``nodes``
   / ``vector_plans`` / ``fallbacks`` record engagement.
-* **Gates** — small batches are silently declined, low-sharing batches
-  are declined *and counted* as fallbacks, and the process-wide switch
-  (``set_trie_enabled`` / ``trie_disabled`` / CLI ``--no-trie``) forces
-  the batched engines.
+* **Gates** — small batches are silently declined, and low-sharing
+  batches are declined *and counted* as fallbacks.
 * **Integration** — ``SimulatedSetOracle.query`` dedups without
   perturbing ``oracle.*`` accounting, and a full inference run produces
-  an identical :class:`InferenceResult` with the planner on or off.
+  the same :class:`InferenceResult` through the planner as through the
+  interpreter.
+
+Engines are reached directly — ``engine.batch_miss_counts`` /
+``engine.batch_outcomes`` route one compiled batch planner-first, and
+the scalar ``engine._run_batch`` is the batched-engine reference.
 """
 
 from contextlib import contextmanager
@@ -32,17 +35,11 @@ from repro.kernels import (
     clear_compile_cache,
     compile_policy,
     count_misses_batch,
-    count_misses_kernel,
-    sequence_hits,
-    sequence_hits_batch,
-    set_trie_enabled,
+    kernel_disabled,
     trie,
-    trie_allowed,
-    trie_disabled,
-    trie_enabled,
     vector,
-    vector_disabled,
 )
+from repro.kernels import engine as kernel_engine
 from repro.obs import metrics as obs_metrics
 from repro.policies import LruPolicy, PlruPolicy, make_policy
 from tests.conftest import all_deterministic_policies
@@ -115,6 +112,20 @@ def build(name, ways=WAYS):
     return make_policy(name, ways)
 
 
+def batched_outcomes(compiled, queries):
+    """The scalar batched engine's outcomes: the planner's reference."""
+    return [tuple(hits) for hits in kernel_engine._run_batch(compiled, queries)[0]]
+
+
+def batched_counts(compiled, queries):
+    return [len(hits) - sum(hits) for hits in batched_outcomes(compiled, queries)]
+
+
+def per_query_outcomes(compiled, queries):
+    """One scalar run per query, no reuse across queries at all."""
+    return [batched_outcomes(compiled, [query])[0] for query in queries]
+
+
 # -- equivalence -------------------------------------------------------------
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -123,10 +134,9 @@ def build(name, ways=WAYS):
 def test_planner_counts_bit_identical(engine, name, queries):
     """Planned miss counts == batched-engine miss counts, any engine."""
     compiled = compile_policy(build(name))
-    with trie_disabled():
-        expected = count_misses_batch(compiled, queries)
+    expected = batched_counts(compiled, queries)
     with planner_forced(engine):
-        assert count_misses_batch(compiled, queries) == expected
+        assert kernel_engine.batch_miss_counts(compiled, queries) == expected
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -135,10 +145,9 @@ def test_planner_counts_bit_identical(engine, name, queries):
 def test_planner_outcomes_bit_identical(engine, name, queries):
     """Planned hit/miss outcome lists == batched-engine outcomes."""
     compiled = compile_policy(build(name))
-    with trie_disabled():
-        expected = sequence_hits_batch(compiled, queries)
+    expected = batched_outcomes(compiled, queries)
     with planner_forced(engine):
-        assert sequence_hits_batch(compiled, queries) == expected
+        assert kernel_engine.batch_outcomes(compiled, queries) == expected
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -156,12 +165,10 @@ def test_planner_edge_shapes(engine):
         [([i], [i, i + 1]) for i in range(17)],  # no sharing at all
     ]
     for queries in cases:
-        expected = [
-            sequence_hits(compiled, setup, probe) for setup, probe in queries
-        ]
+        expected = per_query_outcomes(compiled, queries)
         with planner_forced(engine):
-            assert sequence_hits_batch(compiled, queries) == expected
-            counts = count_misses_batch(compiled, queries)
+            assert kernel_engine.batch_outcomes(compiled, queries) == expected
+            counts = kernel_engine.batch_miss_counts(compiled, queries)
         assert counts == [len(h) - sum(h) for h in expected]
 
 
@@ -172,8 +179,8 @@ def test_planner_engines_agree_on_huge_ids():
     compiled = compile_policy(LruPolicy(WAYS))
     big = 1 << 70
     queries = [([big], [big, 1])] * 5 + [([big], [big, 2])] * 4
-    expected = [sequence_hits(compiled, s, p) for s, p in queries]
-    assert sequence_hits_batch(compiled, queries) == expected
+    expected = per_query_outcomes(compiled, queries)
+    assert kernel_engine.batch_outcomes(compiled, queries) == expected
 
 
 # -- counters ----------------------------------------------------------------
@@ -183,7 +190,7 @@ def test_planner_counter_reconciliation():
     compiled = compile_policy(LruPolicy(WAYS))
     total = sum(len(s) + len(p) for s, p in SHARED_QUERIES)
     obs_metrics.DEFAULT.reset()
-    counts = count_misses_batch(compiled, SHARED_QUERIES)
+    counts = kernel_engine.batch_miss_counts(compiled, SHARED_QUERIES)
     counters = obs_metrics.DEFAULT.snapshot()["counters"]
     assert counters["kernel.trie.plans"] == 1
     assert counters["kernel.trie.nodes"] == counters["kernel.accesses"]
@@ -192,13 +199,11 @@ def test_planner_counter_reconciliation():
     assert counters["kernel.accesses"] == counters["kernel.hits"] + counters["kernel.misses"]
     assert "kernel.trie.fallbacks" not in counters
 
-    # The per-query scalar reference executes every single access.
+    # One-element batches (too small for the planner and the vector
+    # engine) execute every single access.
+    policy = LruPolicy(WAYS)
     obs_metrics.DEFAULT.reset()
-    with trie_disabled(), vector_disabled():
-        expected = [
-            count_misses_kernel(compiled, setup, probe)
-            for setup, probe in SHARED_QUERIES
-        ]
+    expected = [count_misses_batch(policy, [query])[0] for query in SHARED_QUERIES]
     reference = obs_metrics.DEFAULT.snapshot()["counters"]
     assert reference["kernel.accesses"] == total
     assert counts == expected
@@ -212,7 +217,7 @@ def test_planner_engines_report_identical_accounting():
     for engine in ("scalar", "vector"):
         obs_metrics.DEFAULT.reset()
         with planner_forced(engine):
-            counts = count_misses_batch(compiled, SHARED_QUERIES)
+            counts = kernel_engine.batch_miss_counts(compiled, SHARED_QUERIES)
         counters = obs_metrics.DEFAULT.snapshot()["counters"]
         snapshots[engine] = (counts, {
             key: counters[key]
@@ -254,8 +259,8 @@ def test_low_sharing_batches_count_a_fallback(monkeypatch):
     assert counters["kernel.trie.fallbacks"] == 1
     assert "kernel.trie.plans" not in counters
     # The batched engines still answer the batch, bit-identically.
-    assert count_misses_batch(compiled, queries) == [
-        count_misses_kernel(compiled, setup, probe) for setup, probe in queries
+    assert kernel_engine.batch_miss_counts(compiled, queries) == [
+        len(hits) - sum(hits) for hits in per_query_outcomes(compiled, queries)
     ]
 
 
@@ -279,49 +284,17 @@ class TestNoNumpyPlanner:
 
     def test_planner_still_engages_and_matches(self):
         compiled = compile_policy(LruPolicy(WAYS))
-        assert trie_allowed()  # no numpy requirement, unlike the vector engine
         obs_metrics.DEFAULT.reset()
-        planned = count_misses_batch(compiled, SHARED_QUERIES)
+        planned = kernel_engine.batch_miss_counts(compiled, SHARED_QUERIES)
         counters = obs_metrics.DEFAULT.snapshot()["counters"]
         assert counters["kernel.trie.plans"] == 1
         assert "kernel.trie.vector_plans" not in counters
-        with trie_disabled():
-            assert planned == count_misses_batch(compiled, SHARED_QUERIES)
+        assert planned == batched_counts(compiled, SHARED_QUERIES)
 
     def test_outcomes_match(self):
         compiled = compile_policy(PlruPolicy(WAYS))
-        expected = [
-            sequence_hits(compiled, setup, probe)
-            for setup, probe in SHARED_QUERIES
-        ]
-        assert sequence_hits_batch(compiled, SHARED_QUERIES) == expected
-
-
-# -- switches ----------------------------------------------------------------
-
-def test_trie_enable_disable_switch():
-    assert trie_enabled()
-    set_trie_enabled(False)
-    try:
-        assert not trie_enabled()
-        assert not trie_allowed()
-    finally:
-        set_trie_enabled(True)
-    with trie_disabled():
-        assert not trie_enabled()
-        compiled = compile_policy(LruPolicy(WAYS))
-        assert trie.plan_miss_counts(compiled, SHARED_QUERIES) is None
-    assert trie_enabled()
-
-
-def test_cli_trie_flag_parses():
-    from repro.cli import build_parser
-
-    parser = build_parser()
-    args = parser.parse_args(["evaluate", "--policies", "lru"])
-    assert args.trie is True
-    args = parser.parse_args(["evaluate", "--policies", "lru", "--no-trie"])
-    assert args.trie is False
+        expected = per_query_outcomes(compiled, SHARED_QUERIES)
+        assert kernel_engine.batch_outcomes(compiled, SHARED_QUERIES) == expected
 
 
 # -- integration -------------------------------------------------------------
@@ -343,7 +316,8 @@ def test_oracle_query_dedup_preserves_accounting():
 
 
 def test_inference_result_invariant_under_planner():
-    """The planner changes cost, never answers: bit-identical results.
+    """The planner changes cost, never answers: the same result as the
+    interpreter's.
 
     The policy is registry-built so the oracle has a provenance (it is
     deterministic), which is what lets ``_verify`` batch its windows
@@ -358,7 +332,7 @@ def test_inference_result_invariant_under_planner():
     with_planner = run()
     counters = obs_metrics.DEFAULT.snapshot()["counters"]
     assert counters.get("kernel.trie.plans", 0) >= 1
-    with trie_disabled():
+    with kernel_disabled():
         without_planner = run()
     assert with_planner == without_planner
     assert with_planner.succeeded

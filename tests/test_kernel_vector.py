@@ -2,9 +2,9 @@
 
 Four concerns, mirroring the contract in :mod:`repro.kernels.vector`:
 
-* **Equivalence** — every vector entry point (batched queries,
-  preloaded-probe batches, whole-trace lock-step) is bit-identical to
-  the scalar kernel and the interpreter, including the awkward shapes:
+* **Equivalence** — every vector entry point (batched queries from an
+  empty or preloaded start set, whole-trace lock-step) is bit-identical
+  to the scalar kernel and the interpreter, including the awkward shapes:
   empty setups/probes, duplicate queries, single-query batches,
   non-power-of-two batch sizes.
 * **Counters** — the batch path's ``kernel.*`` accounting reconciles
@@ -29,18 +29,13 @@ from repro.kernels import (
     clear_compile_cache,
     compile_policy,
     count_misses_batch,
-    count_misses_kernel,
     kernel_disabled,
-    sequence_hits,
-    sequence_hits_batch,
-    sequence_hits_preloaded,
-    sequence_hits_preloaded_batch,
     store,
-    trie_disabled,
+    trie,
     try_simulate_trace,
     vector,
-    vector_disabled,
 )
+from repro.kernels import engine as kernel_engine
 from repro.obs import metrics as obs_metrics
 from repro.policies import LruPolicy, make_policy
 from repro.util.rng import SeededRng
@@ -81,6 +76,17 @@ def build(name, ways=WAYS):
     return make_policy(name, ways)
 
 
+def scalar_outcomes(compiled, queries, preload=None):
+    """The scalar batch engine's per-query outcomes."""
+    outcomes = kernel_engine._run_batch(compiled, queries, preload)[0]
+    return [tuple(hits) for hits in outcomes]
+
+
+def per_query(compiled, queries, preload=None):
+    """One scalar run per query, no reuse across queries at all."""
+    return [scalar_outcomes(compiled, [query], preload)[0] for query in queries]
+
+
 # -- equivalence: batched (setup, probe) queries -----------------------------
 
 @numpy_only
@@ -89,15 +95,11 @@ def build(name, ways=WAYS):
 def test_batch_outcomes_bit_identical(name, queries):
     """Vector batches == scalar batches == per-query scalar runs."""
     compiled = compile_policy(build(name))
-    expected = [
-        sequence_hits(compiled, setup, probe) for setup, probe in queries
-    ]
-    with vector_disabled():
-        scalar = sequence_hits_batch(compiled, queries)
-    assert scalar == expected
+    expected = per_query(compiled, queries)
+    assert scalar_outcomes(compiled, queries) == expected
     vector.MIN_LANES = 1
     try:
-        assert sequence_hits_batch(compiled, queries) == expected
+        assert vector.batch_outcomes(compiled, queries)[0] == expected
     finally:
         vector.MIN_LANES = 64
 
@@ -109,7 +111,7 @@ def test_batch_miss_counts_match_interpreter(name, queries):
     compiled = compile_policy(build(name))
     vector.MIN_LANES = 1
     try:
-        counts = count_misses_batch(compiled, queries)
+        counts = vector.batch_miss_counts(compiled, queries)[0]
     finally:
         vector.MIN_LANES = 64
     with kernel_disabled():
@@ -132,10 +134,7 @@ def test_batch_edge_shapes(tiny_lanes):
         [([i], [i, i + 1]) for i in range(17)],  # non-power-of-two lanes
     ]
     for queries in cases:
-        expected = [
-            sequence_hits(compiled, setup, probe) for setup, probe in queries
-        ]
-        assert sequence_hits_batch(compiled, queries) == expected
+        assert vector.batch_outcomes(compiled, queries)[0] == per_query(compiled, queries)
 
 
 @numpy_only
@@ -144,8 +143,9 @@ def test_batch_falls_back_on_huge_ids(tiny_lanes):
     compiled = compile_policy(LruPolicy(WAYS))
     big = 1 << 70
     queries = [([big], [big, 1]) for _ in range(4)]
-    expected = [sequence_hits(compiled, s, p) for s, p in queries]
-    assert sequence_hits_batch(compiled, queries) == expected
+    assert vector.batch_outcomes(compiled, queries) is None
+    expected = per_query(compiled, queries)
+    assert kernel_engine.batch_outcomes(compiled, queries) == expected
 
 
 @numpy_only
@@ -154,12 +154,11 @@ def test_batch_falls_back_on_huge_ids(tiny_lanes):
 def test_preloaded_batch_bit_identical(name, probes):
     compiled = compile_policy(build(name))
     tags = [100 + way for way in range(WAYS)]
-    expected = [
-        sequence_hits_preloaded(compiled, tags, probe) for probe in probes
-    ]
+    queries = [((), probe) for probe in probes]
+    expected = per_query(compiled, queries, tags)
     vector.MIN_LANES = 1
     try:
-        assert sequence_hits_preloaded_batch(compiled, tags, probes) == expected
+        assert vector.batch_outcomes(compiled, queries, tags)[0] == expected
     finally:
         vector.MIN_LANES = 64
 
@@ -209,12 +208,15 @@ def test_trace_routing_engages_vector(tiny_lanes):
 
 
 @numpy_only
-def test_trace_lockstep_respects_disable():
+def test_trace_lockstep_respects_disable(tiny_lanes):
+    """With the kernel disabled the trace routing never reaches the
+    lock-step engine."""
     config = CacheConfig("t", 4 * 1024, 4)
     trace = _random_trace(lines=64, length=400, seed=5)
-    compiled = compile_policy(LruPolicy(4))
-    with vector_disabled():
-        assert vector.simulate_trace_lockstep(trace, config, compiled) is None
+    obs_metrics.DEFAULT.reset()
+    with kernel_disabled():
+        assert try_simulate_trace(trace, config, "lru") is None
+    assert "kernel.vector.calls" not in obs_metrics.DEFAULT.snapshot()["counters"]
 
 
 def test_trace_scalar_path_when_tracer_active():
@@ -249,35 +251,34 @@ def _counters():
 def test_batch_counters_reconcile_with_per_query(engine, tiny_lanes):
     """accesses = hits + misses per mode; batch == per-query modulo reuse.
 
-    This pins the *batched engines'* accounting, so the trie planner —
-    which has its own, further-relaxed reconciliation (see
-    tests/test_kernel_trie.py) — is held off.
+    This pins the *batched engines'* accounting, so they are called
+    directly: the trie planner has its own, further-relaxed
+    reconciliation (see tests/test_kernel_trie.py).
     """
     if engine == "vector" and not vector.available():
         pytest.skip("numpy not installed")
     compiled = compile_policy(LruPolicy(WAYS))
 
+    # One-element batches run every access of every query.
     obs_metrics.DEFAULT.reset()
-    per_query = [count_misses_kernel(compiled, s, p) for s, p in QUERIES]
+    policy = LruPolicy(WAYS)
+    per_query = [count_misses_batch(policy, [query])[0] for query in QUERIES]
     single = _counters()
     assert single["kernel.accesses"] == single["kernel.hits"] + single["kernel.misses"]
     assert "kernel.setup_reused" not in single
 
-    obs_metrics.DEFAULT.reset()
     if engine == "scalar":
-        with trie_disabled(), vector_disabled():
-            batched = count_misses_batch(compiled, QUERIES)
+        outcomes, executed, executed_hits, reused = kernel_engine._run_batch(
+            compiled, QUERIES
+        )
+        batched = [len(hits) - sum(hits) for hits in outcomes]
     else:
-        with trie_disabled():
-            batched = count_misses_batch(compiled, QUERIES)
-    batch = _counters()
+        batched, executed, executed_hits, reused = vector.batch_miss_counts(
+            compiled, QUERIES
+        )
     assert batched == per_query
-    assert batch["kernel.accesses"] == batch["kernel.hits"] + batch["kernel.misses"]
     # The only difference between the paths is the skipped setup replays.
-    assert (
-        batch["kernel.accesses"] + batch["kernel.setup_reused"]
-        == single["kernel.accesses"]
-    )
+    assert executed + reused == single["kernel.accesses"]
     # Reconcile hits too: each reused setup would have replayed the same
     # hit pattern, so the skipped hits are per-setup hits times reuses.
     skipped_hits = 0
@@ -286,37 +287,39 @@ def test_batch_counters_reconcile_with_per_query(engine, tiny_lanes):
             cache_set = CacheSet(WAYS, LruPolicy(WAYS))
             setup_hits = sum(1 for b in setup if cache_set.access(b).hit)
             skipped_hits += setup_hits * reuses
-    assert batch["kernel.hits"] + skipped_hits == single["kernel.hits"]
+    assert executed_hits + skipped_hits == single["kernel.hits"]
 
 
 @numpy_only
 def test_vector_counters_flush(tiny_lanes):
     obs_metrics.DEFAULT.reset()
     compiled = compile_policy(LruPolicy(WAYS))
-    with trie_disabled():  # the vector batch path, not the planner
-        count_misses_batch(compiled, QUERIES)
+    _, executed, _, _ = vector.batch_miss_counts(compiled, QUERIES)
     counters = _counters()
     assert counters["kernel.vector.calls"] == 1
     assert counters["kernel.vector.lanes"] == len(QUERIES)
-    assert counters["kernel.vector.accesses"] == counters["kernel.accesses"]
+    assert counters["kernel.vector.accesses"] == executed
 
 
-def test_oracle_batch_costs_identical_across_engines():
+def test_oracle_batch_costs_identical_across_engines(monkeypatch):
     """query(): oracle cost accounting is engine-invariant."""
     results = {}
-    for mode in ("vector", "scalar", "interpreter"):
+    for mode in ("default", "vector", "interpreter"):
         clear_compile_cache()
         oracle = SimulatedSetOracle(LruPolicy(WAYS))
         if mode == "interpreter":
             with kernel_disabled():
                 counts = oracle.query(QUERIES)
-        elif mode == "scalar":
-            with vector_disabled():
+        elif mode == "vector":
+            # Gates moved so the batch skips the planner and vectorizes.
+            with monkeypatch.context() as patch:
+                patch.setattr(trie, "MIN_QUERIES", 1 << 30)
+                patch.setattr(vector, "MIN_LANES", 1)
                 counts = oracle.query(QUERIES)
         else:
             counts = oracle.query(QUERIES)
         results[mode] = (counts, oracle.measurements, oracle.accesses)
-    assert results["vector"] == results["scalar"] == results["interpreter"]
+    assert results["default"] == results["vector"] == results["interpreter"]
 
 
 # -- CachingOracle memo keys -------------------------------------------------
@@ -379,10 +382,8 @@ def test_mmap_load_equals_buffered_load(store_dir):
     assert mapped.num_states == buffered.num_states == original.num_states
     assert mapped.frozen and buffered.frozen
     # Mapped automata drive the scalar engine identically.
-    probe = [5, 0, 6, 1, 2, 7]
-    assert sequence_hits(mapped, list(range(WAYS)), probe) == sequence_hits(
-        original, list(range(WAYS)), probe
-    )
+    query = [(list(range(WAYS)), [5, 0, 6, 1, 2, 7])]
+    assert scalar_outcomes(mapped, query) == scalar_outcomes(original, query)
 
 
 def test_mmap_load_counters(store_dir):
@@ -503,7 +504,7 @@ class TestNoNumpyFallback:
         assert not vector.available()
         assert not vector.vector_allowed()
         assert vector.batch_outcomes(compiled, [([], [1])] * 16) is None
-        assert vector.preloaded_outcomes(compiled, [0, 1, 2, 3], [[1]] * 16) is None
+        assert vector.batch_outcomes(compiled, [([], [1])] * 16, [0, 1, 2, 3]) is None
         config = CacheConfig("t", 4 * 1024, 4)
         trace = _random_trace(lines=16, length=100, seed=1)
         assert vector.simulate_trace_lockstep(trace, config, compiled) is None
@@ -516,13 +517,13 @@ class TestNoNumpyFallback:
     def test_engine_paths_still_bit_identical(self):
         compiled = compile_policy(LruPolicy(WAYS))
         queries = [(list(range(WAYS)), [5, 0, 6, 1])] * 9
-        expected = [sequence_hits(compiled, s, p) for s, p in queries]
-        assert sequence_hits_batch(compiled, queries) == expected
+        expected = per_query(compiled, queries)
+        assert kernel_engine.batch_outcomes(compiled, queries) == expected
         tags = [10, 11, 12, 13]
-        probes = [[14, 10, 15], [11, 12]] * 5
-        assert sequence_hits_preloaded_batch(compiled, tags, probes) == [
-            sequence_hits_preloaded(compiled, tags, probe) for probe in probes
-        ]
+        queries = [((), probe) for probe in [[14, 10, 15], [11, 12]] * 5]
+        assert kernel_engine.batch_outcomes(compiled, queries, tags) == per_query(
+            compiled, queries, tags
+        )
 
     def test_store_load_without_numpy(self, store_dir):
         key, original = _persist_lru(store_dir)
@@ -530,30 +531,3 @@ class TestNoNumpyFallback:
         assert loaded is not None
         assert loaded.vector_tables is None  # no numpy views attached
         assert list(loaded.hit_next) == original.hit_next
-
-
-# -- switches ----------------------------------------------------------------
-
-def test_vector_enable_disable_switch():
-    from repro.kernels import set_vector_enabled, vector_enabled
-
-    assert vector_enabled()
-    set_vector_enabled(False)
-    try:
-        assert not vector_enabled()
-        assert not vector.vector_allowed()
-    finally:
-        set_vector_enabled(True)
-    with vector_disabled():
-        assert not vector_enabled()
-    assert vector_enabled()
-
-
-def test_cli_vector_flag_parses():
-    from repro.cli import build_parser
-
-    parser = build_parser()
-    args = parser.parse_args(["evaluate", "--policies", "lru"])
-    assert args.vector is True
-    args = parser.parse_args(["evaluate", "--policies", "lru", "--no-vector"])
-    assert args.vector is False

@@ -5,7 +5,7 @@ import pytest
 from repro.cache import Cache, CacheConfig
 from repro.cache.set import CacheSet
 from repro.core import SimulatedSetOracle
-from repro.errors import KernelUnsupported
+from repro.errors import KernelUnsupported, SimulationError
 from repro.kernels import (
     DEFAULT_BUDGET,
     clear_compile_cache,
@@ -13,22 +13,26 @@ from repro.kernels import (
     compiled_for,
     compiled_for_factory,
     compiled_for_spec,
-    count_misses_kernel,
-    count_misses_preloaded,
+    count_misses_batch,
     kernel_allowed,
     kernel_disabled,
     kernel_enabled,
     mark_factory_unsupported,
     mark_spec_unsupported,
     mark_unsupported,
-    sequence_hits,
+    sequence_hits_batch,
     set_kernel_enabled,
-    simulate_sequence,
     try_simulate_trace,
 )
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing
-from repro.policies import LruPolicy, RandomPolicy, lru_spec, make_policy
+from repro.policies import (
+    LruPolicy,
+    PermutationPolicy,
+    RandomPolicy,
+    lru_spec,
+    make_policy,
+)
 from repro.util.rng import SeededRng
 from repro.workloads.trace import Trace
 
@@ -109,6 +113,11 @@ class TestCompileCaches:
         assert compiled_for(policy) is not None
         mark_unsupported(policy)
         assert compiled_for(policy) is None
+        # A permutation policy tombstones its spec, so fresh instances
+        # of the same spec stop retrying too.
+        spec = lru_spec(4)
+        mark_unsupported(PermutationPolicy(4, spec))
+        assert compiled_for(PermutationPolicy(4, spec)) is None
 
     def test_factory_cache(self):
         first = compiled_for_factory("plru", (), 8)
@@ -135,47 +144,33 @@ class TestCompileCaches:
 
 class TestSingleSetEngine:
     def test_count_misses_matches_oracle(self):
-        compiled = compile_policy(LruPolicy(2))
+        queries = [([], [1, 2, 1]), ([1, 2], [3, 1])]
+        fast = count_misses_batch(LruPolicy(2), queries)
         with kernel_disabled():
             oracle = SimulatedSetOracle(LruPolicy(2))
-            assert count_misses_kernel(compiled, [], [1, 2, 1]) == oracle.count_misses(
-                [], [1, 2, 1]
-            )
-            assert count_misses_kernel(compiled, [1, 2], [3, 1]) == oracle.count_misses(
-                [1, 2], [3, 1]
-            )
+            assert fast == [oracle.count_misses(setup, probe) for setup, probe in queries]
 
     def test_sequence_hits_detail(self):
-        compiled = compile_policy(LruPolicy(2))
-        assert sequence_hits(compiled, [], [1, 2, 1, 3, 2]) == (
-            False,
-            False,
-            True,
-            False,
-            False,
-        )
-
-    def test_simulate_sequence_matches_cache_set(self):
-        blocks = [1, 2, 3, 1, 4, 2, 1, 5, 3]
-        compiled = compile_policy("plru", 4)
-        cache_set = CacheSet(4, make_policy("plru", 4))
-        assert simulate_sequence(compiled, blocks) == [
-            cache_set.access(block) for block in blocks
+        assert sequence_hits_batch(LruPolicy(2), [([], [1, 2, 1, 3, 2])]) == [
+            (False, False, True, False, False)
         ]
 
     def test_preloaded_matches_preloaded_set(self):
         tags = [10, 11, 12, 13]
         probe = [14, 10, 15, 11, 12]
-        compiled = compile_policy("srrip", 4)
         cache_set = CacheSet(4, make_policy("srrip", 4))
         cache_set.preload(tags)
         expected = sum(1 for block in probe if not cache_set.access(block).hit)
-        assert count_misses_preloaded(compiled, tags, probe) == expected
+        policy = make_policy("srrip", 4)
+        assert count_misses_batch(policy, [([], probe)], preload=tags) == [expected]
 
     def test_preloaded_validates_length(self):
-        compiled = compile_policy(LruPolicy(4))
-        with pytest.raises(KernelUnsupported):
-            count_misses_preloaded(compiled, [1, 2], [3])
+        # A start image of the wrong size never reaches an engine; the
+        # interpreter's CacheSet.preload rejects it on either path.
+        with pytest.raises(SimulationError):
+            count_misses_batch(LruPolicy(4), [([], [3])], preload=[1, 2])
+        with kernel_disabled(), pytest.raises(SimulationError):
+            count_misses_batch(LruPolicy(4), [([], [3])], preload=[1, 2])
 
 
 class TestRouting:
@@ -308,3 +303,13 @@ class TestCliFlag:
         infer = ["infer", "--processor", "ivybridge-like"]
         assert parser.parse_args(infer + ["--kernel"]).kernel is True
         assert parser.parse_args(infer + ["--no-kernel"]).kernel is False
+
+    def test_engine_switch_flags_are_gone(self, capsys):
+        # The vector engine and the trie planner have no user switch;
+        # --no-kernel (the interpreter, the reference path) is the one.
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        for flag in ("--no-vector", "--no-trie"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["evaluate", "--policies", "lru", flag])

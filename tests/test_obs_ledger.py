@@ -192,6 +192,18 @@ class TestVerifyArtifacts:
         ]
 
 
+COMMITTED_LEDGERS = sorted(
+    (Path(__file__).parent.parent / "benchmarks" / "results").glob("*.ledger.json")
+)
+
+
+@pytest.mark.parametrize("path", COMMITTED_LEDGERS, ids=lambda path: path.name)
+def test_committed_ledgers_verify(path):
+    """Every committed ledger's artifacts exist beside it, digests intact."""
+    ledger = obs_ledger.read_ledger(path)
+    assert obs_ledger.verify_artifacts(ledger, path.parent) == []
+
+
 class TestValidatorCli:
     def test_valid_file_exits_zero(self, tmp_path, capsys):
         path = write_ledger(make_ledger(), tmp_path / "ok.ledger.json")
@@ -234,3 +246,28 @@ class TestValidatorCli:
         )
         assert proc.returncode == 0, proc.stderr
         assert "ok" in proc.stdout
+
+    @pytest.mark.parametrize("module", ["repro.obs.ledger", "repro.obs.result"])
+    def test_module_entry_points_run_clean(self, tmp_path, module):
+        # The package must not import the module before runpy runs it
+        # (that double import is a RuntimeWarning, fatal under -W error).
+        import os
+        import subprocess
+        import sys
+
+        import repro
+        from repro.obs.result import ExperimentResult
+
+        if module == "repro.obs.ledger":
+            path = write_ledger(make_ledger(), tmp_path / "run.ledger.json")
+        else:
+            path = tmp_path / "run.metrics.json"
+            path.write_text(ExperimentResult(name="run", params={}, data={}).to_json())
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", module, str(path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
