@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cache.config import CacheConfig
-from repro.util.bits import extract_bits
 
 
 @dataclass(frozen=True)
@@ -25,12 +24,17 @@ class AddressCodec:
     hashed index function (``"xor-fold"``) the set is not recoverable
     from any address bit range, so the *full line number* serves as the
     tag; ``compose`` then reassembles the address from the tag alone.
+
+    :meth:`split` is the one splitting routine; :meth:`decompose` wraps
+    it for callers that also want the line offset.
     """
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
         self._offset_bits = config.offset_bits
         self._index_bits = config.index_bits
+        self._index_mask = (1 << config.index_bits) - 1
+        self._tag_shift = config.offset_bits + config.index_bits
         self._hashed = config.index_hash != "bits"
 
     def _hash_index(self, line_number: int) -> int:
@@ -46,18 +50,22 @@ class AddressCodec:
             remaining >>= self._index_bits
         return folded
 
-    def decompose(self, address: int) -> DecomposedAddress:
-        """Split ``address`` into (tag, set index, offset)."""
+    def split(self, address: int) -> tuple[int, int]:
+        """Split ``address`` into ``(set_index, tag)``; the cache's hot path.
+
+        Plain shifts and masks, no allocation beyond the returned pair.
+        """
         if address < 0:
             raise ValueError(f"addresses must be non-negative, got {address}")
-        offset = extract_bits(address, 0, self._offset_bits)
         if self._hashed:
             line_number = address >> self._offset_bits
-            return DecomposedAddress(
-                tag=line_number, set_index=self._hash_index(line_number), offset=offset
-            )
-        set_index = extract_bits(address, self._offset_bits, self._index_bits)
-        tag = address >> (self._offset_bits + self._index_bits)
+            return self._hash_index(line_number), line_number
+        return (address >> self._offset_bits) & self._index_mask, address >> self._tag_shift
+
+    def decompose(self, address: int) -> DecomposedAddress:
+        """Split ``address`` into (tag, set index, offset)."""
+        set_index, tag = self.split(address)
+        offset = address & (self.config.line_size - 1)
         return DecomposedAddress(tag=tag, set_index=set_index, offset=offset)
 
     def compose(self, tag: int, set_index: int, offset: int = 0) -> int:

@@ -8,6 +8,7 @@ from repro.cache.address import AddressCodec
 from repro.cache.config import CacheConfig
 from repro.cache.set import CacheSet
 from repro.cache.stats import CacheStats
+from repro.obs import metrics as obs_metrics
 from repro.policies import PolicyFactory
 from repro.util.rng import SeededRng
 
@@ -50,6 +51,11 @@ class Cache:
             for index in range(config.num_sets)
         ]
         self.stats = CacheStats()
+        # Indices of the sets filled since the last flush.  A hit, a dirty
+        # mark or an invalidation needs a resident line, and a line only
+        # enters a set through access() or fill(), so every other set is
+        # still in its reset state and flush() need not visit it.
+        self._touched: set[int] = set()
 
     @property
     def name(self) -> str:
@@ -59,9 +65,9 @@ class Cache:
     # -- access path -------------------------------------------------------
     def access(self, address: int, write: bool = False) -> CacheAccessResult:
         """Access ``address``; fill on miss; update statistics."""
-        decomposed = self.codec.decompose(address)
-        cache_set = self.sets[decomposed.set_index]
-        result = cache_set.access(decomposed.tag, write=write)
+        set_index, tag = self.codec.split(address)
+        self._touched.add(set_index)
+        result = self.sets[set_index].access(tag, write=write)
         self.stats.accesses += 1
         evicted_address: int | None = None
         if result.hit:
@@ -73,10 +79,10 @@ class Cache:
                 self.stats.evictions += 1
                 if result.evicted_dirty:
                     self.stats.writebacks += 1
-                evicted_address = self.codec.compose(result.evicted_tag, decomposed.set_index)
+                evicted_address = self.codec.compose(result.evicted_tag, set_index)
         return CacheAccessResult(
             hit=result.hit,
-            set_index=decomposed.set_index,
+            set_index=set_index,
             way=result.way,
             evicted_address=evicted_address,
             evicted_dirty=result.evicted_dirty,
@@ -90,8 +96,8 @@ class Cache:
         Non-demand accesses (prefetches) update replacement state but not
         the demand counters, mirroring ``MEM_LOAD_RETIRED``-style events.
         """
-        decomposed = self.codec.decompose(address)
-        way = self.sets[decomposed.set_index].touch_tag(decomposed.tag, write=write)
+        set_index, tag = self.codec.split(address)
+        way = self.sets[set_index].touch_tag(tag, write=write)
         if demand:
             self.stats.accesses += 1
         if way is None:
@@ -104,14 +110,14 @@ class Cache:
 
     def mark_dirty(self, address: int) -> bool:
         """Absorb a writeback from an upper level; True if line present."""
-        decomposed = self.codec.decompose(address)
-        return self.sets[decomposed.set_index].mark_dirty(decomposed.tag)
+        set_index, tag = self.codec.split(address)
+        return self.sets[set_index].mark_dirty(tag)
 
     def fill(self, address: int, write: bool = False, demand: bool = True) -> CacheAccessResult:
         """Install a line known to be absent (hierarchy fill path)."""
-        decomposed = self.codec.decompose(address)
-        cache_set = self.sets[decomposed.set_index]
-        result = cache_set.fill(decomposed.tag, write=write)
+        set_index, tag = self.codec.split(address)
+        self._touched.add(set_index)
+        result = self.sets[set_index].fill(tag, write=write)
         if demand:
             self.stats.fills += 1
         evicted_address: int | None = None
@@ -120,10 +126,10 @@ class Cache:
                 self.stats.evictions += 1
                 if result.evicted_dirty:
                     self.stats.writebacks += 1
-            evicted_address = self.codec.compose(result.evicted_tag, decomposed.set_index)
+            evicted_address = self.codec.compose(result.evicted_tag, set_index)
         return CacheAccessResult(
             hit=False,
-            set_index=decomposed.set_index,
+            set_index=set_index,
             way=result.way,
             evicted_address=evicted_address,
             evicted_dirty=result.evicted_dirty,
@@ -132,8 +138,8 @@ class Cache:
     # -- non-disturbing queries ---------------------------------------------
     def probe(self, address: int) -> bool:
         """Return True if ``address`` is resident; no state change."""
-        decomposed = self.codec.decompose(address)
-        return self.sets[decomposed.set_index].lookup(decomposed.tag) is not None
+        set_index, tag = self.codec.split(address)
+        return self.sets[set_index].lookup(tag) is not None
 
     def resident_addresses(self) -> set[int]:
         """Return the line addresses of every resident line (test helper)."""
@@ -146,16 +152,24 @@ class Cache:
     # -- maintenance ---------------------------------------------------------
     def invalidate(self, address: int) -> bool:
         """Drop a line (back-invalidation path); True if it was present."""
-        decomposed = self.codec.decompose(address)
-        removed = self.sets[decomposed.set_index].invalidate(decomposed.tag)
+        set_index, tag = self.codec.split(address)
+        removed = self.sets[set_index].invalidate(tag)
         if removed:
             self.stats.invalidations += 1
         return removed
 
     def flush(self) -> None:
-        """Invalidate all lines, reset replacement state; keep statistics."""
-        for cache_set in self.sets:
-            cache_set.flush()
+        """Invalidate all lines, reset replacement state; keep statistics.
+
+        Only the sets filled since the previous flush are reset: every
+        other set is already in its reset state.  Policy resets draw no
+        randomness, so the result equals a whole-cache sweep.
+        """
+        sets = self.sets
+        for set_index in self._touched:
+            sets[set_index].flush()
+        obs_metrics.DEFAULT.incr("cache.flush.sets", len(self._touched))
+        self._touched.clear()
         self.shared.reset()
 
     def reset(self) -> None:

@@ -29,7 +29,6 @@ to memory).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from repro.cache.cache import Cache
 from repro.cache.config import CacheConfig
@@ -39,18 +38,47 @@ from repro.policies import PolicyFactory
 from repro.util.rng import SeededRng
 
 
-@dataclass(frozen=True)
 class HierarchyAccessResult:
-    """What one access did at every level."""
+    """What one access did at every level.
 
-    address: int
-    hit_level: str | None  # level name, or None for a memory access
-    level_hits: tuple[tuple[str, bool], ...]  # (level name, hit) in walk order
+    Stores only the index of the hit level (``None`` for memory) and the
+    hierarchy's level names; the per-level walk is derived on demand,
+    so a load allocates nothing beyond this object.
+    """
+
+    __slots__ = ("address", "hit_index", "level_names")
+
+    def __init__(
+        self, address: int, hit_index: int | None, level_names: tuple[str, ...]
+    ) -> None:
+        self.address = address
+        self.hit_index = hit_index
+        self.level_names = level_names
+
+    @property
+    def hit_level(self) -> str | None:
+        """Name of the level that held the line, or None for memory."""
+        if self.hit_index is None:
+            return None
+        return self.level_names[self.hit_index]
+
+    @property
+    def level_hits(self) -> tuple[tuple[str, bool], ...]:
+        """``(level name, hit)`` for every level looked up, in walk order."""
+        if self.hit_index is None:
+            return tuple((name, False) for name in self.level_names)
+        return tuple(
+            (name, index == self.hit_index)
+            for index, name in enumerate(self.level_names[: self.hit_index + 1])
+        )
 
     @property
     def served_by_memory(self) -> bool:
         """True when no cache level held the line."""
-        return self.hit_level is None
+        return self.hit_index is None
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"HierarchyAccessResult(address={self.address:#x}, hit_level={self.hit_level!r})"
 
 
 class CacheHierarchy:
@@ -79,11 +107,14 @@ class CacheHierarchy:
         self.stats = HierarchyStats(
             levels={cache.name: cache.stats for cache in self.levels}
         )
+        # Per-level constants read on every load.
+        self._names = tuple(names)
+        self._inclusion = tuple(config.inclusion for config in configs)
 
     @property
     def level_names(self) -> list[str]:
         """Names of the levels, L1 first."""
-        return [cache.name for cache in self.levels]
+        return list(self._names)
 
     def level(self, name: str) -> Cache:
         """Return the cache level called ``name``."""
@@ -102,52 +133,49 @@ class CacheHierarchy:
         exactly like a load, but no demand counter changes — hardware
         ``MEM_LOAD_RETIRED``-style events count retired demand loads only.
         """
-        walk: list[tuple[str, bool]] = []
+        levels = self.levels
         hit_index: int | None = None
-        for index, cache in enumerate(self.levels):
-            hit = cache.lookup_touch(address, write=write and index == 0, demand=demand)
-            walk.append((cache.name, hit))
-            if hit:
+        for index, cache in enumerate(levels):
+            if cache.lookup_touch(address, write and index == 0, demand):
                 hit_index = index
                 break
         if hit_index is None:
             if demand:
                 self.stats.memory_accesses += 1
-            top_fill_source = len(self.levels)
-        else:
-            top_fill_source = hit_index
-            hit_cache = self.levels[hit_index]
-            if hit_cache.config.inclusion == "exclusive" and hit_index > 0:
+            self._fill_upwards(address, len(levels), write, demand)
+        elif hit_index > 0:
+            if self._inclusion[hit_index] == "exclusive":
                 # Exclusive hit: the line migrates upward.
-                hit_cache.invalidate(address)
-        self._fill_upwards(address, top_fill_source, write=write, demand=demand)
-        hit_level = self.levels[hit_index].name if hit_index is not None else None
-        return HierarchyAccessResult(
-            address=address, hit_level=hit_level, level_hits=tuple(walk)
-        )
+                levels[hit_index].invalidate(address)
+            self._fill_upwards(address, hit_index, write, demand)
+        return HierarchyAccessResult(address, hit_index, self._names)
 
     def _fill_upwards(
         self, address: int, source_index: int, write: bool, demand: bool = True
     ) -> None:
         """Fill the line into levels above ``source_index`` (exclusive skip)."""
+        levels = self.levels
+        inclusion = self._inclusion
         for index in range(source_index - 1, -1, -1):
-            cache = self.levels[index]
-            if index > 0 and cache.config.inclusion == "exclusive":
+            kind = inclusion[index]
+            if index > 0 and kind == "exclusive":
                 continue  # populated by victims only
+            cache = levels[index]
             if cache.probe(address):
                 continue  # already present (e.g. refilled via back path)
-            result = cache.fill(address, write=write and index == 0, demand=demand)
-            if result.evicted_address is not None:
-                self._handle_victim(index, result.evicted_address, result.evicted_dirty)
-            if cache.config.inclusion == "inclusive" and result.evicted_address is not None:
-                self._back_invalidate(index, result.evicted_address)
+            result = cache.fill(address, write and index == 0, demand)
+            evicted = result.evicted_address
+            if evicted is not None:
+                self._handle_victim(index, evicted, result.evicted_dirty)
+                if kind == "inclusive":
+                    self._back_invalidate(index, evicted)
 
     def _handle_victim(self, level_index: int, victim: int, dirty: bool) -> None:
         """Route a victim evicted from ``level_index`` downwards."""
         next_index = level_index + 1
         if next_index < len(self.levels):
-            next_cache = self.levels[next_index]
-            if next_cache.config.inclusion == "exclusive":
+            if self._inclusion[next_index] == "exclusive":
+                next_cache = self.levels[next_index]
                 if not next_cache.probe(victim):
                     result = next_cache.fill(victim, write=dirty)
                     if result.evicted_address is not None:

@@ -277,14 +277,41 @@ def _random_trace_equivalent(
     return True
 
 
+def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
+    """Sorted cycle lengths of ``perm``: invariant under conjugation."""
+    seen = [False] * len(perm)
+    lengths = []
+    for start in range(len(perm)):
+        length = 0
+        position = start
+        while not seen[position]:
+            seen[position] = True
+            position = perm[position]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths))
+
+
+def _conjugacy_invariant(spec: PermutationSpec) -> tuple:
+    """What every relabeling of ``spec`` shares: the multiset of hit
+    permutation cycle types and the miss permutation's cycle type."""
+    hits = tuple(sorted(_cycle_type(perm) for perm in spec.hit_perms))
+    return hits, _cycle_type(spec.miss_perm)
+
+
 def conjugate_equivalent(first: PermutationSpec, second: PermutationSpec) -> bool:
     """Sufficient equivalence check: is one spec a position relabeling of
     the other?
 
     Sound but not complete; used for associativities where the exhaustive
-    search is too large.
+    search is too large.  Relabeling ``h -> r∘h∘r⁻¹`` keeps every
+    permutation's cycle type, so specs whose cycle types differ are
+    rejected before the ``(A-1)!`` relabeling loop.
     """
     if first.ways != second.ways:
+        return False
+    if _conjugacy_invariant(first) != _conjugacy_invariant(second):
         return False
     ways = first.ways
     for relabel in iter_permutations(range(ways - 1)):

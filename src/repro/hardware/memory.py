@@ -57,8 +57,15 @@ class VirtualMemory:
         self._rng = rng if rng is not None else SeededRng(0)
         self._next_virtual = page_size  # keep 0 unmapped, like a real process
         self._page_table: dict[int, int] = {}  # virtual page number -> physical
-        self._free_frames = list(range(physical_size // page_size))
-        self._rng.shuffle(self._free_frames)
+        # Huge pages: frames are claimed lowest-first and never freed, so
+        # the free frames are always the run [_next_frame, frame count).
+        self._next_frame = 0
+        # Small pages: frames in the order that shuffling the list of
+        # every frame number and popping from its end gives, computed
+        # lazily.  Positions below ``_unshuffled`` are not fixed yet;
+        # ``_moved`` holds those whose frame differs from their index.
+        self._unshuffled = physical_size // page_size
+        self._moved: dict[int, int] = {}
 
     @property
     def huge_pages(self) -> bool:
@@ -77,36 +84,36 @@ class VirtualMemory:
             for i in range(pages):
                 self._page_table[(base // self.page_size) + i] = start + i
         else:
-            if pages > len(self._free_frames):
+            if pages > self._unshuffled:
                 raise MeasurementError("out of simulated physical memory")
             for i in range(pages):
-                self._page_table[(base // self.page_size) + i] = self._free_frames.pop()
+                self._page_table[(base // self.page_size) + i] = self._pop_random_frame()
         self._next_virtual = base + pages * self.page_size
         return VirtualBuffer(base=base, size=pages * self.page_size)
 
     def _claim_contiguous(self, pages: int) -> int:
-        frames = sorted(self._free_frames)
-        if len(frames) < pages:
+        start = self._next_frame
+        if start + pages > self.physical_size // self.page_size:
             raise MeasurementError("out of simulated physical memory")
-        run_start, run_length = frames[0], 1
-        if run_length >= pages:
-            self._free_frames.remove(run_start)
-            return run_start
-        for previous, current in zip(frames, frames[1:]):
-            if current == previous + 1:
-                run_length += 1
-            else:
-                run_start, run_length = current, 1
-            if run_length >= pages:
-                start = current - pages + 1
-                claimed = set(range(start, start + pages))
-                self._free_frames = [f for f in self._free_frames if f not in claimed]
-                return start
-        if pages == 1 and frames:
-            frame = frames[0]
-            self._free_frames.remove(frame)
-            return frame
-        raise MeasurementError("no contiguous physical range available")
+        self._next_frame = start + pages
+        return start
+
+    def _pop_random_frame(self) -> int:
+        """Fix the last unfixed position ``i`` and return its frame.
+
+        ``random.shuffle`` fixes positions from the end by swapping
+        position ``i`` with ``randrange(i + 1)``; drawing the same values
+        on the same stream yields the same frames in the same order.
+        """
+        i = self._unshuffled - 1
+        moved = self._moved
+        frame = moved.pop(i, i)
+        if i > 0:
+            j = self._rng.randrange(i + 1)
+            if j != i:
+                frame, moved[j] = moved.get(j, j), frame
+        self._unshuffled = i
+        return frame
 
     def translate(self, virtual: int) -> int:
         """Translate a virtual address to its physical address."""

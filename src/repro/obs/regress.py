@@ -93,6 +93,7 @@ CHECK_COUNTERS = (
     "kernel.accesses",
     "kernel.trie.fallbacks",
     "db.miss",
+    "cache.flush.sets",
     "runner.chunk_retries",
     "runner.pool.restarted",
     "runner.shm.fallbacks",

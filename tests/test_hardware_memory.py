@@ -72,3 +72,54 @@ class TestAllocation:
         lines = list(buffer.line_addresses(64))
         assert len(lines) == 4096 // 64
         assert lines[0] == buffer.base
+
+
+class _EagerFrames:
+    """Reference frame assignment: a materialized, shuffled list of every
+    frame, popped from its end for small pages and scanned for the lowest
+    contiguous free run for huge pages."""
+
+    def __init__(self, frame_count: int, rng: SeededRng) -> None:
+        self.free = list(range(frame_count))
+        rng.shuffle(self.free)
+
+    def small(self, pages: int) -> list[int]:
+        return [self.free.pop() for _ in range(pages)]
+
+    def huge(self, pages: int) -> list[int]:
+        frames = sorted(self.free)
+        run_start, run_length = frames[0], 1
+        if run_length >= pages:
+            self.free.remove(run_start)
+            return [run_start]
+        for previous, current in zip(frames, frames[1:]):
+            if current == previous + 1:
+                run_length += 1
+            else:
+                run_start, run_length = current, 1
+            if run_length >= pages:
+                start = current - pages + 1
+                claimed = set(range(start, start + pages))
+                self.free = [f for f in self.free if f not in claimed]
+                return list(range(start, start + pages))
+        raise AssertionError("no contiguous run")
+
+
+class TestLazyFrameAssignment:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("page_size", [4096, HUGE_PAGE_SIZE])
+    def test_matches_eager_shuffle(self, seed, page_size):
+        frame_count = 300
+        memory = VirtualMemory(
+            page_size=page_size, physical_size=frame_count * page_size, rng=SeededRng(seed)
+        )
+        eager = _EagerFrames(frame_count, SeededRng(seed))
+        sizes = [1, 7, 1, 64, 3, 100, 2, 122]  # exhausts every frame
+        assert sum(sizes) == frame_count
+        for pages in sizes:
+            buffer = memory.allocate(pages * page_size)
+            got = [memory.translate(buffer.base + i * page_size) // page_size for i in range(pages)]
+            want = eager.huge(pages) if memory.huge_pages else eager.small(pages)
+            assert got == want
+        with pytest.raises(MeasurementError):
+            memory.allocate(page_size)
