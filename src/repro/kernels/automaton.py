@@ -16,8 +16,13 @@ dispatch.  Enumeration is *lazy*: a ``(state, event)`` transition is
 computed (clone, apply event, intern the successor) the first time the
 simulation engine needs it and memoized in the flat tables forever after,
 so compiling never costs more than the states a workload actually visits.
-:meth:`CompiledPolicy.expand_all` forces the classic eager BFS when the
-full automaton is wanted (tests, state-space reports).
+:meth:`CompiledPolicy.expand_all` runs the classic eager BFS.  Without an
+argument it closes the whole automaton (the artifact store, tests,
+state-space reports); ``expand_all(limit)`` closes at most ``limit``
+transitions and keeps a cursor, so the next bounded call resumes where
+this one stopped.  The vector engine uses the bounded form to pay for a
+closure only with the accesses it runs (see
+:func:`repro.kernels.vector.ensure_tables`).
 
 Policies outside the automaton class — randomized (``state_key() is
 None``) or adaptive ones whose behaviour depends on cache-global shared
@@ -30,7 +35,6 @@ from __future__ import annotations
 
 import time
 import weakref
-from collections import deque
 
 from repro.errors import KernelUnsupported
 from repro.policies import (
@@ -81,6 +85,7 @@ class CompiledPolicy:
         "_ids",
         "_policies",
         "_num_states",
+        "_cursor",
         "vector_tables",
     )
 
@@ -108,9 +113,13 @@ class CompiledPolicy:
         self.fill_next: list[int] = [-1] * ways
         self.miss_victim: list[int] = [-1]
         self.miss_next: list[int] = [-1]
+        #: BFS cursor: every state below it has all its transitions
+        #: expanded (see :meth:`expand_all`).
+        self._cursor = 0
         #: Numpy mirror of the tables for :mod:`repro.kernels.vector`.
-        #: ``None`` = not built yet, ``False`` = tried and unsupported
-        #: (budget blown / numpy absent); managed by ``vector.ensure_tables``.
+        #: ``None`` = not built yet (or the closure is still deferred),
+        #: ``False`` = tried and unsupported (budget blown / numpy
+        #: absent); managed by ``vector.ensure_tables``.
         self.vector_tables = None
 
     @property
@@ -129,13 +138,13 @@ class CompiledPolicy:
         return not self._policies
 
     def is_complete(self) -> bool:
-        """True when every interned state's transitions are expanded."""
-        return (
-            min(self.hit_next, default=-1) >= 0
-            and min(self.fill_next, default=-1) >= 0
-            and min(self.miss_victim, default=-1) >= 0
-            and min(self.miss_next, default=-1) >= 0
-        )
+        """True when the BFS cursor has closed every interned state.
+
+        O(1): transitions filled in by lazy expansion alone do not count
+        until an :meth:`expand_all` call has walked the cursor past them.
+        Frozen automata are complete by construction.
+        """
+        return self._cursor >= self._num_states
 
     def to_tables(self) -> dict:
         """Flat ``array('i')`` buffers of the transition tables.
@@ -169,6 +178,7 @@ class CompiledPolicy:
         compiled._ids = {}
         compiled._policies = []
         compiled._num_states = num_states
+        compiled._cursor = num_states
         compiled.vector_tables = None
         # Plain lists: exactly what the BFS path builds, so the engine's
         # inner loops are byte-for-byte the same on both origins.
@@ -199,6 +209,7 @@ class CompiledPolicy:
         compiled._ids = {}
         compiled._policies = []
         compiled._num_states = num_states
+        compiled._cursor = num_states
         compiled.vector_tables = None
         compiled._buffers = dict(buffers)
         compiled._keep_alive = keep_alive
@@ -273,28 +284,53 @@ class CompiledPolicy:
         return victim, next_state
 
     # -- eager enumeration -------------------------------------------------
-    def expand_all(self) -> int:
+    def expand_all(self, limit: int | None = None) -> int:
         """Classic eager BFS: close the automaton under every event.
 
-        Returns the total state count.  Raises
+        States are closed in id order, which is breadth-first order
+        because new states are appended as they are interned.  The
+        cursor (:meth:`is_complete`) records how far the closure got:
+        each call resumes there, skipping transitions lazy expansion has
+        already filled in.  ``limit`` bounds the number of transitions
+        this call expands; the call stops once it is spent, and the next
+        call carries on from the same state.  ``None`` closes everything.
+
+        Returns the state count interned so far (the total once the
+        automaton is complete).  Raises
         :class:`~repro.errors.KernelUnsupported` if the reachable space
         exceeds the budget.
         """
         if not self._policies:  # frozen: complete by construction
             return self._num_states
         ways = self.ways
-        queue = deque(range(len(self._policies)))
-        while queue:
-            state = queue.popleft()
-            frontier_before = len(self._policies)
-            for way in range(ways):
-                if self.hit_next[state * ways + way] < 0:
-                    self.expand_hit(state, way)
-                if self.fill_next[state * ways + way] < 0:
-                    self.expand_fill(state, way)
-            if self.miss_victim[state] < 0:
-                self.expand_miss(state)
-            queue.extend(range(frontier_before, len(self._policies)))
+        hit_next = self.hit_next  # extended in place by _intern
+        fill_next = self.fill_next
+        miss_victim = self.miss_victim
+        # Counting down from -1 never reaches 0: unbounded.
+        left = -1 if limit is None else limit
+        state = self._cursor
+        try:
+            while state < self._num_states:
+                base = state * ways
+                for way in range(ways):
+                    if hit_next[base + way] < 0:
+                        if not left:
+                            return self._num_states
+                        left -= 1
+                        self.expand_hit(state, way)
+                    if fill_next[base + way] < 0:
+                        if not left:
+                            return self._num_states
+                        left -= 1
+                        self.expand_fill(state, way)
+                if miss_victim[state] < 0:
+                    if not left:
+                        return self._num_states
+                    left -= 1
+                    self.expand_miss(state)
+                state += 1
+        finally:
+            self._cursor = state
         return self._num_states
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

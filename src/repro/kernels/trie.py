@@ -49,7 +49,10 @@ engines:
   at depth ``d-1`` is the nearest preceding sorted row that created a
   node there, found with one ``searchsorted`` per level; gathering the
   parents' lane states *is* the branch-point snapshot.  Chosen when the
-  trie is wide enough for per-level numpy dispatch to amortize.
+  trie is wide enough for per-level numpy dispatch to amortize and the
+  automaton is closed; the batch's accesses pay toward that closure
+  (:func:`repro.kernels.vector.ensure_tables`), so a fresh automaton
+  replays in scalar until they have.
 
 Ground rules (matching :mod:`repro.kernels.vector`):
 
@@ -185,7 +188,7 @@ def _plan(compiled, queries, want_outcomes):
         and block_lo >= 0
         and block_hi < vector._MAX_BLOCK
     ):
-        tables = vector.ensure_tables(compiled)
+        tables = vector.ensure_tables(compiled, total)
     if tables is not None:
         answers, executed_hits = _run_frontier(
             tables, mat, lengths, lcps, order, splits, want_outcomes

@@ -40,14 +40,20 @@ Ground rules:
 * **numpy is optional.**  When it is absent every entry point returns
   ``None`` and callers keep the scalar engine; nothing in the library
   imports numpy unconditionally.
-* **Only complete automata run vectorized.**  The stepper has no lazy
-  expansion hook — a ``-1`` table entry would be gathered as a state id
-  — so :func:`ensure_tables` forces ``expand_all()`` first and memoizes
-  a budget blow as "scalar only" on the automaton.
+* **Only complete automata run vectorized, and closing one is paid for
+  by the accesses run on it.**  The stepper has no lazy expansion hook —
+  a ``-1`` table entry would be gathered as a state id — so the
+  automaton must be closed first.  :func:`ensure_tables` closes at most
+  as many BFS transitions as the call is about to execute accesses;
+  until the closure is done the call runs on the scalar lazy engine,
+  which only expands the states it reaches.  Closure resumes across
+  calls, so a long-lived process still reaches the vector engine, and a
+  whole trace longer than its automaton runs lock-step on the first
+  call.  A budget blow is memoized as "scalar only" on the automaton.
 * **Fallback is always legal.**  Every ``None`` return means "use the
   scalar engine"; the vector path is an optimization, never a
-  capability.  Engagement and fallbacks are visible as
-  ``kernel.vector.*`` counters.
+  capability.  Engagement, fallbacks and deferred closures are visible
+  as ``kernel.vector.*`` counters.
 """
 
 from __future__ import annotations
@@ -190,13 +196,21 @@ class VectorTables:
         )
 
 
-def ensure_tables(compiled) -> VectorTables | None:
+def ensure_tables(compiled, work: int) -> VectorTables | None:
     """The automaton's numpy tables, or None when it must stay scalar.
 
-    Forces full expansion first (the stepper cannot expand lazily) and
-    memoizes the outcome on the automaton: a successful build is cached
-    as the tables themselves, a budget blow or missing numpy as a
-    ``False`` tombstone so the probe runs once.
+    The stepper cannot expand lazily, so tables exist only for a
+    complete automaton.  ``work`` is the number of accesses the caller
+    is about to execute: at most that many BFS transitions are closed
+    (:meth:`~repro.kernels.automaton.CompiledPolicy.expand_all` resumes
+    where the previous call stopped), so no process closes more of an
+    automaton than it runs accesses on it.  An automaton still open
+    afterwards returns None with nothing memoized, counted as
+    ``kernel.vector.deferred``; a later call carries on the closure.
+
+    The outcome is memoized on the automaton: a successful build as the
+    tables themselves, a budget blow or missing numpy as a ``False``
+    tombstone so the probe runs once.
     """
     cached = compiled.vector_tables
     if cached is not None:
@@ -205,9 +219,12 @@ def ensure_tables(compiled) -> VectorTables | None:
         compiled.vector_tables = False
         return None
     try:
-        compiled.expand_all()
+        compiled.expand_all(work)
     except KernelUnsupported:
         compiled.vector_tables = False
+        return None
+    if not compiled.is_complete():
+        obs_metrics.DEFAULT.incr("kernel.vector.deferred")
         return None
     tables = VectorTables.from_lists(compiled)
     compiled.vector_tables = tables
@@ -404,9 +421,9 @@ def batch_outcomes(compiled, queries, preload=None):
     Returns ``(outcomes, executed, executed_hits, reused)`` — the same
     accounting tuple, with identical values (outcomes as tuples) — or
     ``None`` when the batch must stay scalar (numpy absent, automaton
-    not fully expandable, too few lanes, or block ids outside the int64
-    lane range).  Queries are chunked by *consecutive equal setups*
-    exactly like the scalar path; every chunk's setup runs once (in
+    not closed yet or not closable, too few lanes, or block ids outside
+    the int64 lane range).  Queries are chunked by *consecutive equal
+    setups* exactly like the scalar path; every chunk's setup runs once (in
     Python, over the numpy tables, from the empty set or the
     ``preload`` start image) and its snapshot seeds that chunk's lanes,
     after which ALL lanes advance in one stepper call.
@@ -441,14 +458,9 @@ def batch_miss_counts(compiled, queries, preload=None):
 def _batch_run(compiled, queries, preload=None):
     if _np is None or len(queries) < MIN_LANES:
         return None
-    tables = ensure_tables(compiled)
-    if tables is None:
-        _note_fallback()
-        return None
     if preload is not None and any(tag < 0 or tag >= _MAX_BLOCK for tag in preload):
         return None
     np = _np
-    ways = tables.ways
     count = len(queries)
 
     # Chunk by consecutive equal setups (the scalar batch's reuse rule);
@@ -469,6 +481,18 @@ def _batch_run(compiled, queries, preload=None):
             prev_setup = setup_key
         prev_obj = setup
     chunk_bounds.append(count)
+    probes = [probe for _, probe in queries]
+    lengths = np.fromiter((len(p) for p in probes), dtype=np.int64, count=count)
+
+    # The accesses this batch executes: each chunk's setup once, then
+    # every probe.
+    work = sum(map(len, chunk_setups)) + int(lengths.sum())
+    tables = ensure_tables(compiled, work)
+    if tables is None:
+        if compiled.vector_tables is False:
+            _note_fallback()
+        return None
+    ways = tables.ways
 
     # Replay each chunk's setup once; seed its lane range from the snapshot.
     states = np.zeros(count, dtype=np.int32)
@@ -497,8 +521,6 @@ def _batch_run(compiled, queries, preload=None):
 
     # Sort lanes longest-probe-first so the stepper's active set is a
     # shrinking prefix, run, then un-sort the outcomes.
-    probes = [probe for _, probe in queries]
-    lengths = np.fromiter((len(p) for p in probes), dtype=np.int64, count=count)
     order = np.argsort(-lengths, kind="stable")
     layout = _lane_matrix(probes, order, lengths)
     if layout is None:
@@ -532,14 +554,15 @@ def simulate_trace_lockstep(trace, config, compiled):
     then every set advances one access per stepper column.  Returns a
     :class:`~repro.cache.stats.CacheStats` bit-identical to the scalar
     trace engine / interpreter, or ``None`` for scalar fallback (numpy
-    absent, too few sets, automaton not fully expandable, a
+    absent, too few sets, automaton not closed yet or not closable, a
     pathologically skewed trace, or tags beyond the int64 lane range).
     """
     if _np is None or config.num_sets < MIN_TRACE_LANES:
         return None
-    tables = ensure_tables(compiled)
+    tables = ensure_tables(compiled, len(trace))
     if tables is None:
-        _note_fallback()
+        if compiled.vector_tables is False:
+            _note_fallback()
         return None
     from repro.cache.stats import CacheStats
 

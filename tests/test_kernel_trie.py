@@ -213,6 +213,7 @@ def test_planner_counter_reconciliation():
 def test_planner_engines_report_identical_accounting():
     """Scalar replay and vector frontiers agree on every kernel counter."""
     compiled = compile_policy(PlruPolicy(WAYS))
+    compiled.expand_all()  # closed: the frontier engine runs on any batch
     snapshots = {}
     for engine in ("scalar", "vector"):
         obs_metrics.DEFAULT.reset()

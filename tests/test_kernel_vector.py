@@ -95,6 +95,7 @@ def per_query(compiled, queries, preload=None):
 def test_batch_outcomes_bit_identical(name, queries):
     """Vector batches == scalar batches == per-query scalar runs."""
     compiled = compile_policy(build(name))
+    compiled.expand_all()  # closed: the vector engine runs on any batch
     expected = per_query(compiled, queries)
     assert scalar_outcomes(compiled, queries) == expected
     vector.MIN_LANES = 1
@@ -109,6 +110,7 @@ def test_batch_outcomes_bit_identical(name, queries):
 @settings(max_examples=60, deadline=None)
 def test_batch_miss_counts_match_interpreter(name, queries):
     compiled = compile_policy(build(name))
+    compiled.expand_all()  # closed: the vector engine runs on any batch
     vector.MIN_LANES = 1
     try:
         counts = vector.batch_miss_counts(compiled, queries)[0]
@@ -125,6 +127,7 @@ def test_batch_miss_counts_match_interpreter(name, queries):
 def test_batch_edge_shapes(tiny_lanes):
     """Empty setups/probes, duplicates, single-query batches."""
     compiled = compile_policy(LruPolicy(WAYS))
+    compiled.expand_all()  # closed: the vector engine runs on any batch
     cases = [
         [([], [])],                              # single, fully empty
         [([], [1, 2, 1])],                       # single, empty setup
@@ -141,6 +144,7 @@ def test_batch_edge_shapes(tiny_lanes):
 def test_batch_falls_back_on_huge_ids(tiny_lanes):
     """Block ids beyond the int64 lane range retreat to scalar, same result."""
     compiled = compile_policy(LruPolicy(WAYS))
+    compiled.expand_all()  # closed: the vector engine runs on any batch
     big = 1 << 70
     queries = [([big], [big, 1]) for _ in range(4)]
     assert vector.batch_outcomes(compiled, queries) is None
@@ -153,6 +157,7 @@ def test_batch_falls_back_on_huge_ids(tiny_lanes):
 @settings(max_examples=60, deadline=None)
 def test_preloaded_batch_bit_identical(name, probes):
     compiled = compile_policy(build(name))
+    compiled.expand_all()  # closed: the vector engine runs on any batch
     tags = [100 + way for way in range(WAYS)]
     queries = [((), probe) for probe in probes]
     expected = per_query(compiled, queries, tags)
@@ -258,6 +263,7 @@ def test_batch_counters_reconcile_with_per_query(engine, tiny_lanes):
     if engine == "vector" and not vector.available():
         pytest.skip("numpy not installed")
     compiled = compile_policy(LruPolicy(WAYS))
+    compiled.expand_all()  # closed: the vector engine runs on any batch
 
     # One-element batches run every access of every query.
     obs_metrics.DEFAULT.reset()
@@ -294,6 +300,7 @@ def test_batch_counters_reconcile_with_per_query(engine, tiny_lanes):
 def test_vector_counters_flush(tiny_lanes):
     obs_metrics.DEFAULT.reset()
     compiled = compile_policy(LruPolicy(WAYS))
+    compiled.expand_all()  # closed: the vector engine runs on any batch
     _, executed, _, _ = vector.batch_miss_counts(compiled, QUERIES)
     counters = _counters()
     assert counters["kernel.vector.calls"] == 1
@@ -404,7 +411,7 @@ def test_mmap_load_attaches_vector_tables(store_dir):
     key, _ = _persist_lru(store_dir)
     mapped = store.load(key)
     assert mapped.vector_tables is not None
-    assert vector.ensure_tables(mapped) is mapped.vector_tables
+    assert vector.ensure_tables(mapped, 0) is mapped.vector_tables  # closed: free
     # Zero-copy: the numpy view aliases the same values as the lists.
     assert mapped.vector_tables.hit_next.tolist() == list(mapped.hit_next)
 
@@ -511,7 +518,7 @@ class TestNoNumpyFallback:
 
     def test_ensure_tables_tombstones(self):
         compiled = compile_policy(LruPolicy(WAYS))
-        assert vector.ensure_tables(compiled) is None
+        assert vector.ensure_tables(compiled, 0) is None
         assert compiled.vector_tables is False  # probe ran once, memoized
 
     def test_engine_paths_still_bit_identical(self):

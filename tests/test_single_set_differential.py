@@ -101,6 +101,7 @@ def test_every_single_set_path_agrees(case):
             expected
         )
     compiled = compiled_for(build(name, ways))
+    compiled.expand_all()  # closed: the vector engines run on any batch
     answers = {}
 
     outcomes = engine._run_batch(compiled, queries, preload)[0]
