@@ -22,7 +22,9 @@ Known values reproduced by the computation (and asserted in tests):
 mls is computed exactly as a shortest adversarial eviction: breadth-
 first search over (policy state, target way) pairs where the adversary
 may miss (evicting the policy's victim) or claim a hit on any
-not-yet-claimed non-target block.
+not-yet-claimed non-target block.  Non-permutation policies run the
+search on their full-set automaton tables
+(:func:`repro.eval.predictability.reachable_full_states`).
 """
 
 from __future__ import annotations
@@ -97,8 +99,9 @@ def mls_metric_policy(policy: ReplacementPolicy, max_states: int = 300_000) -> i
     """Exact minimum life span of a deterministic policy.
 
     Permutation policies are analysed in position space (cheap at any
-    relevant associativity); others fall back to a way-level search,
-    which stays shallow because their minimum life spans are small.
+    relevant associativity); others fall back to a way-level search on
+    their full-set tables, which stays shallow because their minimum
+    life spans are small.
     Returns None for randomized policies (no guarantee exists).
     """
     if not policy.DETERMINISTIC:
@@ -112,68 +115,51 @@ def mls_metric_policy(policy: ReplacementPolicy, max_states: int = 300_000) -> i
     if spec is not None:
         return mls_metric_spec(spec)
 
-    # Initial states: every reachable full state, after the target way
-    # was just touched, and after the target was just filled on a miss.
-    prototypes: dict = {}
-    start_states = []
-    for state in reachable_full_states(policy):
-        for way in range(ways):
-            touched = state.clone()
-            touched.touch(way)
-            start_states.append((touched, way))
-        missed = state.clone()
-        victim = missed.evict()
-        missed.fill(victim)
-        start_states.append((missed, victim))
-
-    def register(policy_state: ReplacementPolicy):
-        key = policy_state.state_key()
-        if key not in prototypes:
-            prototypes[key] = policy_state
-        return key
-
-    queue: deque = deque()
+    # A search node is (state, target way, mask of unclaimed old ways) on
+    # the policy's full-set tables.  Initial nodes: every reachable full
+    # state after the target way was just touched, and after the target
+    # was just filled on a miss.
+    tables = reachable_full_states(policy)
+    hit, victim, nxt = tables.hit, tables.victim, tables.next
+    everyone = (1 << ways) - 1
+    level = []
     seen = set()
-    for policy_state, target_way in start_states:
-        labels = tuple(
-            TARGET if way == target_way else OLD for way in range(ways)
-        )
-        node = (register(policy_state), labels)
-        if node not in seen:
-            seen.add(node)
-            queue.append((node, 0))
-
-    while queue:
-        (policy_key, labels), depth = queue.popleft()
-        base = prototypes[policy_key]
-        successors = []
-        # Adversary move 1: a miss with a fresh block.
-        missed = base.clone()
-        victim = missed.evict()
-        missed.fill(victim)
-        if labels[victim] == TARGET:
-            # Breadth-first order makes the first eviction the minimum.
-            return depth + 1
-        miss_labels = list(labels)
-        miss_labels[victim] = CLAIMED
-        successors.append((missed, tuple(miss_labels)))
-        # Adversary move 2: a hit on any unclaimed non-target block.
-        for way, label in enumerate(labels):
-            if label == OLD:
-                claimed = base.clone()
-                claimed.touch(way)
-                hit_labels = list(labels)
-                hit_labels[way] = CLAIMED
-                successors.append((claimed, tuple(hit_labels)))
-        for policy_state, new_labels in successors:
-            node = (register(policy_state), new_labels)
+    for state in range(len(tables)):
+        starts = [(hit[state * ways + way], way) for way in range(ways)]
+        starts.append((nxt[state], victim[state]))
+        for start, target in starts:
+            node = (start, target, everyone & ~(1 << target))
             if node not in seen:
-                if len(seen) >= max_states:
-                    raise ConfigurationError(
-                        f"mls search exceeded {max_states} states"
-                    )
                 seen.add(node)
-                queue.append((node, depth + 1))
+                level.append(node)
+
+    # Breadth-first, one whole level at a time: the first level holding a
+    # node whose next miss evicts the target gives the minimum, found
+    # before that level is expanded.
+    depth = 0
+    while level:
+        if any(victim[state] == target for state, target, _old in level):
+            return depth + 1
+        following = []
+        for state, target, old in level:
+            # Adversary move 1: a miss with a fresh block.
+            evicted = victim[state]
+            successors = [(nxt[state], old & ~(1 << evicted))]
+            # Adversary move 2: a hit on any unclaimed non-target block.
+            for way in range(ways):
+                if old >> way & 1:
+                    successors.append((hit[state * ways + way], old & ~(1 << way)))
+            for successor, left in successors:
+                node = (successor, target, left)
+                if node not in seen:
+                    if len(seen) >= max_states:
+                        raise ConfigurationError(
+                            f"mls search exceeded {max_states} states"
+                        )
+                    seen.add(node)
+                    following.append(node)
+        level = following
+        depth += 1
     return None  # the target can never be evicted (would be odd)
 
 

@@ -16,179 +16,385 @@ using the metrics of Reineke et al.:
   possible policy state into the same state (exactly A for standard-miss
   permutation policies, whose miss behaviour is a forced shift).
 
-Both are computed exactly by an adversarial longest-path search: the
-analyst picks the number of accesses, an adversary picks the initial
-state and which accesses alias still-cached old blocks (each old block
-can be claimed at most once because accesses are pairwise distinct).  A
-reachable cycle that still contains old blocks means the metric is
-unbounded (reported as ``None``), which is the correct verdict for
-random replacement.
+evict is the value of an adversarial game: the analyst picks the number
+of accesses, an adversary picks the initial state and which accesses
+alias still-cached old blocks (each old block can be claimed at most
+once because accesses are pairwise distinct).  The game is solved
+exactly by backward induction over *layers*, layer ``k`` holding the
+positions with ``k`` old-labelled ways.  A hit on an old way, or a miss
+that evicts one, drops to the already solved layer ``k - 1``; the only
+move that stays inside a layer is the miss that evicts a new line, which
+leaves the labels alone, so within a layer the game is the functional
+graph of that one miss.  A chain of such misses that never leaves the
+layer is a cycle that keeps old blocks alive forever: the metric is
+unbounded (reported as ``None``), the correct verdict for random
+replacement and for LIP, whose miss never changes its state.
+
+Permutation specs play the game in position space (:func:`evict_metric_spec`).
+Every other deterministic policy plays it on its compiled automaton
+(:func:`repro.kernels.automaton.compiled_for`): :func:`reachable_full_states`
+closes the automaton's full-set states under hits and misses into dense
+tables, so a store-loaded automaton serves E5 as well as a fresh one,
+and :func:`evict_metric_policy` / :func:`collapse_depth_policy` run on
+those tables — vectorized with numpy when it is importable, on plain
+lists otherwise.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, KernelUnsupported
+from repro.kernels.automaton import compiled_for
 from repro.policies import PermutationSpec, ReplacementPolicy
-from repro.policies.permutation import apply_permutation
 
-OLD_FRESH = "O"  # unknown old block; the analysis goal is to clear these
-# A claimed old block (hit by one of the distinct accesses) becomes part
-# of the known contents, indistinguishable from a newly inserted block
-# for the purposes of the metric, so both share one label.
-NEW = "N"
+try:
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised in the no-numpy CI leg
+    _np = None
 
-_UNBOUNDED = object()
-
-
-class _GameUnbounded(Exception):
-    """Raised internally when the adversary can stall forever."""
+#: Value of a game position from which the adversary can stall forever.
+#: Above any finite value (a play visits each game position at most
+#: once) and far below the int32 limit, so sums stay exact.
+_UNBOUNDED = 1 << 30
 
 
-def _search(initial_states, moves_of, max_states: int) -> int | None:
-    """Longest adversary-controlled path until no old blocks remain.
+def _layers(ways: int) -> list[list[int]]:
+    """Label masks grouped by popcount: ``_layers(w)[k]`` has ``k`` old ways."""
+    layers: list[list[int]] = [[] for _ in range(ways + 1)]
+    for mask in range(1 << ways):
+        layers[mask.bit_count()].append(mask)
+    return layers
 
-    ``moves_of(state)`` yields successor states; terminal states (no old
-    labels) have value 0.  Returns None when a cycle keeps old blocks
-    alive forever.
+
+def _chain_values(base: list[int], succ: list[int]) -> list[int]:
+    """Solve one layer's functional graph on lists.
+
+    ``value[c] = max(base[c], 1 + value[succ[c]])`` where ``succ[c]`` is
+    the in-layer successor of position ``c`` or -1 when every move
+    leaves the layer.  A chain that runs into a cycle never leaves, so
+    every position on it is unbounded.
     """
-    values: dict = {}
-    ON_STACK = _UNBOUNDED  # sentinel reused as the "in progress" marker
-
-    def value(state) -> int:
-        known = values.get(state)
-        if known is ON_STACK:
-            raise _GameUnbounded
-        if known is not None:
-            return known
-        if len(values) > max_states:
-            raise ConfigurationError(
-                f"predictability search exceeded {max_states} states"
-            )
-        successors = list(moves_of(state))
-        if not successors:
-            values[state] = 0
-            return 0
-        values[state] = ON_STACK
-        best = 1 + max(value(next_state) for next_state in successors)
-        values[state] = best
-        return best
-
-    try:
-        return max(value(state) for state in initial_states)
-    except _GameUnbounded:
-        return None
+    value = list(base)
+    mark = [0] * len(base)  # 0 unseen, 1 on the current chain, 2 solved
+    for start in range(len(base)):
+        chain = []
+        node = start
+        while node >= 0 and not mark[node]:
+            mark[node] = 1
+            chain.append(node)
+            node = succ[node]
+        if node < 0:
+            tail = -_UNBOUNDED
+        elif mark[node] == 1:
+            tail = _UNBOUNDED  # the chain closed on itself
+        else:
+            tail = value[node]
+        for node in reversed(chain):
+            tail = min(max(value[node], tail + 1), _UNBOUNDED)
+            value[node] = tail
+            mark[node] = 2
+    return value
 
 
 def evict_metric_spec(spec: PermutationSpec, max_states: int = 300_000) -> int | None:
     """Exact evict metric of a permutation policy.
 
-    Positions abstract away the ways, so the game state is simply the
-    label of each position (3^A states) and there is a single initial
-    state: every position old.
+    Positions abstract away the ways, so a game position is just the
+    mask of positions holding old blocks and there is a single initial
+    position: every position old.  Only the masks reachable from it are
+    solved (``max_states`` bounds them), so LRU-like specs stay cheap at
+    any associativity.
     """
     ways = spec.ways
+    last = 1 << (ways - 1)
 
-    def moves_of(labels: tuple[str, ...]):
-        if OLD_FRESH not in labels:
-            return
-        # A miss: evict last position's label, relocate the rest, insert NEW.
-        relocated = list(labels)
-        relocated[ways - 1] = NEW
-        yield tuple(apply_permutation(relocated, spec.miss_perm))
+    def moved(mask: int, perm) -> int:
+        result = 0
+        while mask:
+            low = mask & -mask
+            result |= 1 << perm[low.bit_length() - 1]
+            mask ^= low
+        return result
+
+    # moves[mask] = (masks one layer down, in-layer successor or None)
+    moves: dict[int, tuple[list[int], int | None]] = {}
+    pending = [(1 << ways) - 1]
+    while pending:
+        mask = pending.pop()
+        if mask in moves:
+            continue
+        if len(moves) >= max_states:
+            raise ConfigurationError(
+                f"predictability search exceeded {max_states} states"
+            )
         # A hit claiming any still-unknown old block.
-        for position, label in enumerate(labels):
-            if label == OLD_FRESH:
-                claimed = list(labels)
-                claimed[position] = NEW
-                yield tuple(apply_permutation(claimed, spec.hit_perms[position]))
+        exits = [moved(mask & ~(1 << p), spec.hit_perms[p]) for p in range(ways) if mask >> p & 1]
+        # A miss: the last position's label leaves, the rest relocate.
+        shifted = moved(mask & ~last, spec.miss_perm)
+        stay = None
+        if mask & last:
+            exits.append(shifted)
+        elif mask:
+            stay = shifted
+        moves[mask] = (exits, stay)
+        pending.extend(exits)
+        if stay is not None:
+            pending.append(stay)
 
-    return _search([tuple([OLD_FRESH] * ways)], moves_of, max_states)
+    value: dict[int, int] = {}
+    for k in range(ways + 1):
+        masks = [mask for mask in moves if mask.bit_count() == k]
+        if k == 0:
+            value.update((mask, 0) for mask in masks)
+            continue
+        index = {mask: i for i, mask in enumerate(masks)}
+        base, succ = [], []
+        for mask in masks:
+            exits, stay = moves[mask]
+            base.append(1 + max(value[target] for target in exits))
+            succ.append(-1 if stay is None else index[stay])
+        value.update(zip(masks, _chain_values(base, succ)))
+    top = value[(1 << ways) - 1]
+    return None if top >= _UNBOUNDED else top
 
 
-def reachable_full_states(policy: ReplacementPolicy, max_states: int = 100_000) -> list:
-    """All policy states reachable once the set has filled up.
+@dataclass(frozen=True, eq=False)
+class FullSetTables:
+    """A policy's full-set automaton as dense transition tables.
 
-    Starts from the state after the cold fill of all ways (in ascending
-    way order, matching :class:`~repro.cache.set.CacheSet`) and closes
-    under hits on any way and miss/fill cycles.
+    States are renumbered densely from 0, the state after the cold fill
+    of ways 0..A-1 in ascending order (matching
+    :class:`~repro.cache.set.CacheSet`).  ``hit[s * ways + w]`` is the
+    state after a hit on way ``w``; a miss evicts ``victim[s]`` and
+    leaves the set in ``next[s]``.
     """
-    start = policy.clone()
-    start.reset()
-    for way in range(policy.ways):
-        start.fill(way)
-    frontier = [start]
-    seen = {start.state_key()}
-    states = [start]
-    while frontier:
-        current = frontier.pop()
-        successors = []
-        for way in range(policy.ways):
-            touched = current.clone()
-            touched.touch(way)
-            successors.append(touched)
-        missed = current.clone()
-        victim = missed.evict()
-        missed.fill(victim)
-        successors.append(missed)
-        for successor in successors:
-            key = successor.state_key()
-            if key not in seen:
-                if len(seen) >= max_states:
-                    raise ConfigurationError(
-                        f"policy has more than {max_states} reachable states"
-                    )
-                seen.add(key)
-                states.append(successor)
-                frontier.append(successor)
-    return states
+
+    ways: int
+    hit: list[int]
+    victim: list[int]
+    next: list[int]
+
+    def __len__(self) -> int:
+        return len(self.victim)
 
 
-def evict_metric_policy(policy: ReplacementPolicy, max_states: int = 300_000) -> int | None:
+def reachable_full_states(
+    policy: ReplacementPolicy, max_states: int = 100_000
+) -> FullSetTables:
+    """The policy states reachable once the set has filled up, as tables.
+
+    Reads the policy's compiled automaton, expanding any transition it
+    has not interned yet, and closes the cold-filled state under hits on
+    any way and misses.  Raises :class:`~repro.errors.ConfigurationError`
+    when more than ``max_states`` states are reachable, when the
+    automaton outgrows the kernel's own state budget, or when the policy
+    has no automaton (randomized policies).
+    """
+    compiled = compiled_for(policy)
+    if compiled is None:
+        raise ConfigurationError(
+            f"policy {type(policy).__name__} has no compiled automaton"
+        )
+    ways = compiled.ways
+    hit_next = compiled.hit_next
+    fill_next = compiled.fill_next
+    miss_victim = compiled.miss_victim
+    miss_next = compiled.miss_next
+    hit: list[int] = []
+    victim: list[int] = []
+    nxt: list[int] = []
+    try:
+        start = 0
+        for way in range(ways):
+            target = fill_next[start * ways + way]
+            start = target if target >= 0 else compiled.expand_fill(start, way)
+        dense = {start: 0}
+        order = [start]
+        for source in order:  # grows as new states are discovered
+            hits = [
+                target if target >= 0 else compiled.expand_hit(source, way)
+                for way, target in enumerate(hit_next[source * ways : (source + 1) * ways])
+            ]
+            if miss_victim[source] < 0:
+                compiled.expand_miss(source)
+            for target in (*hits, miss_next[source]):
+                if target not in dense:
+                    dense[target] = len(order)
+                    order.append(target)
+            if len(order) > max_states:
+                raise ConfigurationError(
+                    f"policy has more than {max_states} reachable states"
+                )
+            hit.extend(dense[target] for target in hits)
+            victim.append(miss_victim[source])
+            nxt.append(dense[miss_next[source]])
+    except KernelUnsupported as exc:
+        raise ConfigurationError(str(exc)) from exc
+    return FullSetTables(ways, hit, victim, nxt)
+
+
+def _full_set_tables(policy: ReplacementPolicy | FullSetTables) -> FullSetTables | None:
+    """Tables passed in as they are, built for a deterministic policy,
+    or None for a randomized one."""
+    if isinstance(policy, FullSetTables):
+        return policy
+    if not policy.DETERMINISTIC:
+        return None
+    return reachable_full_states(policy)
+
+
+def evict_metric_policy(
+    policy: ReplacementPolicy | FullSetTables, max_states: int = 1 << 25
+) -> int | None:
     """Exact evict metric of an arbitrary deterministic policy.
 
-    The game state pairs the policy state with a per-way label; the
-    adversary additionally chooses the initial policy state among all
-    reachable full-set states.
+    A game position pairs a full-set state with the mask of ways still
+    holding old blocks; the adversary additionally chooses the initial
+    state among all reachable full-set states.  Accepts the policy or
+    its :func:`reachable_full_states` tables.  ``max_states`` bounds the
+    game positions (states × 2^A masks) the solver may hold.
     """
-    if not policy.DETERMINISTIC:
+    tables = _full_set_tables(policy)
+    if tables is None:
         return None  # e.g. random replacement: eviction can never be forced
-    ways = policy.ways
-    reachable = reachable_full_states(policy)
-    # Keep concrete policy objects out of the memo key but reachable for
-    # transition computation: rebuild successors with clones on the fly.
-    prototypes = {state.state_key(): state for state in reachable}
+    positions = len(tables) << tables.ways
+    # A finite value is below the position count; keep it below _UNBOUNDED.
+    if positions > min(max_states, _UNBOUNDED):
+        raise ConfigurationError(
+            f"predictability game has {positions} positions, over {max_states}"
+        )
+    solve = _evict_on_arrays if _np is not None else _evict_on_lists
+    top = solve(tables)
+    return None if top >= _UNBOUNDED else top
 
-    def moves_of(state):
-        policy_key, labels = state
-        if OLD_FRESH not in labels:
-            return
-        base = prototypes[policy_key]
-        missed = base.clone()
-        victim = missed.evict()
-        missed.fill(victim)
-        miss_labels = list(labels)
-        miss_labels[victim] = NEW
-        yield _register(missed, tuple(miss_labels))
-        for way, label in enumerate(labels):
-            if label == OLD_FRESH:
-                claimed = base.clone()
-                claimed.touch(way)
-                hit_labels = list(labels)
-                hit_labels[way] = NEW
-                yield _register(claimed, tuple(hit_labels))
 
-    def _register(policy_state: ReplacementPolicy, labels):
-        key = policy_state.state_key()
-        if key not in prototypes:
-            prototypes[key] = policy_state
-        return (key, labels)
+def _evict_on_lists(tables: FullSetTables) -> int:
+    """Layered backward induction, one label mask at a time."""
+    ways, hit, victim, nxt = tables.ways, tables.hit, tables.victim, tables.next
+    states = range(len(tables))
+    solved = {0: [0] * len(tables)}  # layer 0: no old block left
+    for masks in _layers(ways)[1:]:
+        layer = {}
+        for mask in masks:
+            olds = [way for way in range(ways) if mask >> way & 1]
+            below = [(way, solved[mask ^ (1 << way)]) for way in olds]
+            base, succ = [], []
+            for state in states:
+                row = state * ways
+                best = max(values[hit[row + way]] for way, values in below)
+                way = victim[state]
+                if mask >> way & 1:
+                    best = max(best, solved[mask ^ (1 << way)][nxt[state]])
+                    succ.append(-1)
+                else:
+                    succ.append(nxt[state])
+                base.append(best + 1)
+            layer[mask] = _chain_values(base, succ)
+        solved = layer
+    return max(solved[(1 << ways) - 1])
 
-    initial_states = [
-        (key, tuple([OLD_FRESH] * ways)) for key in prototypes
-    ]
-    return _search(initial_states, moves_of, max_states)
+
+def _miss_graph(nxt: list[int]) -> tuple[list[int], list[list[int]]]:
+    """Split the miss graph ``s -> nxt[s]`` into cycles and the trees on them.
+
+    Returns ``(cycle, levels)``: ``cycle`` holds the states on a cycle of
+    misses, ``levels[d - 1]`` the states ``d`` misses away from one.
+    Every state's successor comes in an earlier level or on a cycle, so
+    solving the levels in order sees each successor solved.
+    """
+    indegree = [0] * len(nxt)
+    for target in nxt:
+        indegree[target] += 1
+    peeled = [state for state, count in enumerate(indegree) if count == 0]
+    for state in peeled:  # grows as the peeling frees successors
+        target = nxt[state]
+        indegree[target] -= 1
+        if indegree[target] == 0:
+            peeled.append(target)
+    depth = [0] * len(nxt)
+    levels: list[list[int]] = []
+    for state in reversed(peeled):
+        depth[state] = depth[nxt[state]] + 1
+        if depth[state] > len(levels):
+            levels.append([])
+        levels[depth[state] - 1].append(state)
+    cycle = [state for state, count in enumerate(indegree) if count > 0]
+    return cycle, levels
+
+
+def _evict_on_arrays(tables: FullSetTables) -> int:
+    """Layered backward induction, every mask of a layer at once.
+
+    A layer's values form a ``(masks, n)`` int32 array.  Exits to the
+    layer below are gathers through the hit and miss tables; the
+    in-layer miss chains are solved level by level down the trees of the
+    miss graph, and on its cycles by pointer doubling.
+    """
+    np = _np
+    ways = tables.ways
+    n = len(tables)
+    hit = np.array(tables.hit, dtype=np.intp).reshape(n, ways).T.copy()
+    victim = np.array(tables.victim, dtype=np.intp)
+    nxt = np.array(tables.next, dtype=np.intp)
+    evicts = [np.flatnonzero(victim == way) for way in range(ways)]
+    evicts_next = [nxt[rows] for rows in evicts]
+    cycle, levels = _miss_graph(tables.next)
+    levels = [(np.array(level), nxt[level]) for level in levels]
+    cycle = np.array(cycle, dtype=np.intp)
+    # Cycle states renumbered 0..len(cycle)-1 for the doubling.
+    position = np.zeros(n, dtype=np.intp)
+    position[cycle] = np.arange(len(cycle))
+    cycle_next = position[nxt[cycle]]
+
+    solved = {0: np.zeros(n, dtype=np.int32)}  # layer 0: no old block left
+    for masks in _layers(ways)[1:]:
+        value = np.zeros((len(masks), n), dtype=np.int32)
+        for row, mask in zip(value, masks):
+            for way in range(ways):
+                if mask >> way & 1:
+                    below = solved[mask ^ (1 << way)]
+                    # A hit on the old line in `way` ...
+                    np.maximum(row, below[hit[way]], out=row)
+                    # ... or a miss that evicts it.
+                    rows = evicts[way]
+                    row[rows] = np.maximum(row[rows], below[evicts_next[way]])
+        value += 1
+        holds_old = ((np.array(masks)[:, None] >> np.arange(ways)) & 1).astype(bool)
+        stop = holds_old[:, victim]  # the miss evicts an old line
+        # Every miss graph has a cycle: its states are finitely many.
+        value[:, cycle] = _cycle_values(value[:, cycle], stop[:, cycle], cycle_next)
+        for level, level_next in levels:
+            here = value[:, level]
+            chained = np.maximum(here, value[:, level_next] + 1)
+            value[:, level] = np.where(stop[:, level], here, chained)
+        np.minimum(value, _UNBOUNDED, out=value)
+        solved = dict(zip(masks, value))
+    return int(solved[(1 << ways) - 1].max())
+
+
+def _cycle_values(base, stop, succ):
+    """Chain values on the miss graph's cycles by pointer doubling.
+
+    ``base`` and ``stop`` are ``(masks, cycle states)``; ``succ`` maps a
+    cycle state to the next one.  After round ``r``, ``best`` is the
+    chain value over the first ``2^r`` states of each chain and ``hop``
+    the state ``2^r`` misses on, or the sink once the chain has left the
+    layer.  No cycle is longer than the cycle states are many, so a
+    chain still on one after that many misses never leaves it: unbounded.
+    """
+    np = _np
+    width, sink = base.shape
+    hop = np.where(stop, sink, succ[None, :])
+    best = base
+    span = 1
+    while span < sink:
+        padded = np.hstack([best, np.full((width, 1), -_UNBOUNDED, dtype=best.dtype)])
+        best = np.maximum(best, np.take_along_axis(padded, hop, axis=1) + span)
+        hop = np.take_along_axis(np.hstack([hop, np.full((width, 1), sink)]), hop, axis=1)
+        span *= 2
+    return np.where(hop == sink, best, _UNBOUNDED)
 
 
 def collapse_depth_spec(spec: PermutationSpec) -> int:
@@ -212,28 +418,45 @@ def collapse_depth_spec(spec: PermutationSpec) -> int:
     return ways  # standard-miss specs exit through the loop; keep a floor
 
 
-def collapse_depth_policy(policy: ReplacementPolicy, horizon_factor: int = 4) -> int | None:
+def collapse_depth_policy(
+    policy: ReplacementPolicy | FullSetTables, horizon_factor: int = 4
+) -> int | None:
     """Misses after which all reachable policy states coincide.
 
-    Simulates ``m`` consecutive miss/fill cycles from every reachable
-    full-set state and finds the smallest ``m`` (up to ``horizon_factor
-    * ways``) where both the policy states and the orders in which the
-    last ``ways`` fills happened agree; returns None if never.
+    Walks ``m`` consecutive misses from every reachable full-set state
+    at once and finds the smallest ``m`` (at least ``ways``, at most
+    ``horizon_factor * ways``) where both the states and the ways the
+    last ``ways`` misses filled agree; returns None if never.  Accepts
+    the policy or its :func:`reachable_full_states` tables.
     """
-    if not policy.DETERMINISTIC:
+    tables = _full_set_tables(policy)
+    if tables is None:
         return None
-    states = reachable_full_states(policy)
-    horizon = horizon_factor * policy.ways
-    current = [(state.clone(), ()) for state in states]
-    for step in range(1, horizon + 1):
-        advanced = []
-        for state, fills in current:
-            victim = state.evict()
-            state.fill(victim)
-            advanced.append((state, (fills + (victim,))[-policy.ways :]))
-        current = advanced
-        signatures = {(state.state_key(), fills) for state, fills in current}
-        if len(signatures) == 1 and step >= policy.ways:
+    ways = tables.ways
+    if _np is not None:
+        victim, nxt = _np.array(tables.victim), _np.array(tables.next)
+        current = _np.arange(len(tables))
+
+        def step_from(states):
+            return victim[states], nxt[states]
+
+        def agree(values) -> bool:
+            return bool((values == values[0]).all())
+    else:
+        victim, nxt = tables.victim, tables.next
+        current = list(range(len(tables)))
+
+        def step_from(states):
+            return [victim[s] for s in states], [nxt[s] for s in states]
+
+        def agree(values) -> bool:
+            return len(set(values)) == 1
+
+    fills: deque = deque(maxlen=ways)
+    for step in range(1, horizon_factor * ways + 1):
+        filled, current = step_from(current)
+        fills.append(filled)
+        if step >= ways and agree(current) and all(agree(way) for way in fills):
             return step
     return None
 
@@ -285,8 +508,9 @@ def predictability_of_policy(name: str, policy: ReplacementPolicy) -> Predictabi
     if spec is not None:
         return predictability_of_spec(name, spec)
     try:
-        evict = evict_metric_policy(policy)
-        collapse = collapse_depth_policy(policy)
+        tables = reachable_full_states(policy)
+        evict = evict_metric_policy(tables)
+        collapse = collapse_depth_policy(tables)
     except ConfigurationError:
         return PredictabilityResult.na(name, policy.ways, note="state budget exceeded")
     fill = None if evict is None or collapse is None else evict + collapse
